@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
 import argparse
 import json
+import math
 import sys
 
 import os
@@ -105,9 +106,14 @@ def cmd_lshape(args):
         print("%-12.4e %-6d %-12.4e %-12.4e %-8.3f %-8.3f"
               % (r.H, r.dim, r.l2_rel, r.h1_rel, r.eoc_l2, r.eoc_h1))
     if len(rows) >= 3:
+        H = [r.H for r in rows[:3]]
         print("fitted orders (levels 0-2): l2 %.3f, h1 %.3f"
-              % (fitted_order([r.H for r in rows[:3]], [r.l2_rel for r in rows[:3]]),
-                 fitted_order([r.H for r in rows[:3]], [r.h1_rel for r in rows[:3]])))
+              % (fitted_order(H, [r.l2_rel for r in rows[:3]]),
+                 fitted_order(H, [r.h1_rel for r in rows[:3]])))
+        print("fitted coarse-part h1 order (levels 0-2), "
+              "sqrt(h1_rel^2 - floor h1_rel^2): %.3f"
+              % fitted_order(H, [math.sqrt(r.h1_rel ** 2 - f.h1_rel ** 2)
+                                 for r, f in zip(rows[:3], floor)]))
     print("fine FE floor: l2 %.4e, h1 %.4e (n=%d)"
           % (floor[-1].l2_rel, floor[-1].h1_rel, floor[-1].dim))
     print("wrote %s" % args.out)

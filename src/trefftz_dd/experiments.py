@@ -95,7 +95,9 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
     itself, k = 1..levels with a (2k+1)x(2k+1) partition and a fine pitch
     of the cell width over `divisions`.  Returns (rows, floor) where floor
     lists the fine finite element error of each step's mesh — the
-    attainable limit for any coarse space on it.
+    attainable limit for any coarse space on it.  `p` may also be a tuple
+    of trace degrees, studied on the same meshes, systems and cell caches;
+    the result is then {p: (rows, floor)}.
 
     The problem has f = 0 and Neumann walls, so Galerkin orthogonality
     splits each row's error against the exact solution into a coarse-space
@@ -107,11 +109,19 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
     """
     if strategy not in ("edge", "mesh"):
         raise ValueError("strategy must be 'edge' or 'mesh'")
+    degrees = p if isinstance(p, tuple) else (p,)
     domain = lshape_domain()
     g = lambda pts: exact_lshape(pts)[0]
     corner = np.array([[0.0, 0.0]])
 
-    steps, floor = [], []
+    steps, floor = {q: [] for q in degrees}, []
+
+    def measure(mesh, system, skel, H, cache=None):
+        for q in degrees:
+            space = build_trefftz(mesh, system, skel, q, cache)
+            u = coarse_approximation(system, space)
+            steps[q].append((H, space.dim) + error_norms(mesh, u, exact_lshape))
+
     if strategy == "edge":
         levels = 4 if levels is None else levels
         pitch = 1.0 / 192.0 if pitch is None else pitch
@@ -125,10 +135,7 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
         skel = build_skeleton(domain, part)
         cache = build_cell_cache(mesh, system, skel)
         for r in range(levels):
-            space = build_trefftz(mesh, system, refine_edges(skel, r), p, cache)
-            u = coarse_approximation(system, space)
-            l2, h1 = error_norms(mesh, u, exact_lshape)
-            steps.append((skel.H / 2 ** r, space.dim, l2, h1))
+            measure(mesh, system, refine_edges(skel, r), skel.H / 2 ** r, cache)
             floor.append((skel.H / 2 ** r, system.dofmap.n_free) + fe)
     else:
         levels = 3 if levels is None else levels
@@ -141,21 +148,19 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
                 mesh = refine_toward(mesh, corner, grade)
             system = assemble(mesh, g=g)
             skel = build_skeleton(domain, part)
-            space = build_trefftz(mesh, system, skel, p)
-            u = coarse_approximation(system, space)
-            l2, h1 = error_norms(mesh, u, exact_lshape)
-            steps.append((skel.H, space.dim, l2, h1))
+            measure(mesh, system, skel, skel.H)
             floor.append((skel.H, system.dofmap.n_free)
                          + error_norms(mesh, solve_fine(system), exact_lshape))
 
-    rows = _convergence_rows(steps)
     floor_rows = _convergence_rows(floor)
+    studies = {q: (_convergence_rows(steps[q]), floor_rows) for q in degrees}
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        stem = os.path.join(outdir, "lshape_%s_p%d" % (strategy, p))
-        _write_convergence(stem + ".csv", rows)
-        _write_convergence(stem + "_floor.csv", floor_rows)
-    return rows, floor_rows
+        for q, (rows, _) in studies.items():
+            stem = os.path.join(outdir, "lshape_%s_p%d" % (strategy, q))
+            _write_convergence(stem + ".csv", rows)
+            _write_convergence(stem + "_floor.csv", floor_rows)
+    return studies if isinstance(p, tuple) else studies[p]
 
 
 def generate_urban_synthetic(seed, extent=640.0, pitch=2.5, n_buildings=24,

@@ -190,16 +190,16 @@ def assign_cells(points, triangles, partition, tol_rel=1e-9):
     """Coarse-cell index per triangle, rejecting triangles that straddle cells."""
     outer = partition.outer
     w, h = outer.width / partition.nx, outer.height / partition.ny
-    cen = points[triangles].mean(axis=1)
+    p = points[triangles]
+    cen = p.mean(axis=1)
     ix = np.clip(np.floor((cen[:, 0] - outer.x0) / w).astype(int), 0, partition.nx - 1)
     iy = np.clip(np.floor((cen[:, 1] - outer.y0) / h).astype(int), 0, partition.ny - 1)
     tol = tol_rel * max(w, h)
-    for t in range(len(triangles)):
-        x0, y0 = outer.x0 + ix[t] * w, outer.y0 + iy[t] * h
-        p = points[triangles[t]]
-        if (p[:, 0] < x0 - tol).any() or (p[:, 0] > x0 + w + tol).any() \
-                or (p[:, 1] < y0 - tol).any() or (p[:, 1] > y0 + h + tol).any():
-            raise NonConformingMesh(t)
+    x0, y0 = (outer.x0 + ix * w)[:, None], (outer.y0 + iy * h)[:, None]
+    bad = ((p[..., 0] < x0 - tol) | (p[..., 0] > x0 + w + tol)
+           | (p[..., 1] < y0 - tol) | (p[..., 1] > y0 + h + tol)).any(axis=1)
+    if bad.any():
+        raise NonConformingMesh(int(np.argmax(bad)))
     return (iy * partition.nx + ix).astype(np.int32)
 
 
@@ -349,15 +349,16 @@ class _MutableMesh:
     """Edit-friendly mesh view used by the bisection routines."""
 
     def __init__(self, mesh):
-        self.points = [tuple(p) for p in mesh.points]
+        self.points = mesh.points.tolist()
         self.tris = {}
         self.cell = {}
         self.edge_tris = {}
-        for t, tri in enumerate(mesh.triangles):
-            self._add_tri(t, tuple(int(v) for v in tri), int(mesh.cell_of_triangle[t]))
+        cells = mesh.cell_of_triangle.tolist()
+        for t, tri in enumerate(mesh.triangles.tolist()):
+            self._add_tri(t, tuple(tri), cells[t])
         self.next_tri = mesh.n_triangles
-        self.bmark = {(int(a), int(b)): int(mk)
-                      for (a, b), mk in zip(mesh.boundary_edges, mesh.boundary_marker)}
+        self.bmark = {tuple(e): mk for e, mk in zip(mesh.boundary_edges.tolist(),
+                                                    mesh.boundary_marker.tolist())}
         self.node_of_edge = {}
 
     def _add_tri(self, tid, tri, cell):
@@ -450,39 +451,30 @@ def refine_toward(mesh, targets, rounds):
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     work = _MutableMesh(mesh)
     for _ in range(rounds):
-        marked = [tid for tid in sorted(work.tris) if _near_target(work, tid, targets)]
-        for tid in marked:
+        ids = sorted(work.tris)
+        corners = np.asarray(work.points)[np.array([work.tris[t] for t in ids])]
+        for tid in np.asarray(ids)[_near_targets(corners, targets)].tolist():
             if tid in work.tris:
                 work.refine_triangle(tid)
     return work.to_mesh()
 
 
-def _near_target(work, tid, targets):
-    tri = work.tris[tid]
-    p = np.asarray([work.points[v] for v in tri])
-    diam2 = max(((p[i] - p[j]) ** 2).sum() for i, j in ((0, 1), (1, 2), (0, 2)))
-    for q in targets:
-        if _dist2_point_triangle(q, p) < 4.0 * diam2:
-            return True
-    return False
-
-
-def _dist2_point_triangle(q, p):
-    """Squared distance from point q to the (closed) triangle with rows p."""
-    d = 0.0
-    inside = True
-    best = np.inf
+def _near_targets(corners, targets):
+    """Mask of the counter-clockwise triangles `corners` (m, 3, 2) whose
+    squared distance, as closed sets, to some of the (k, 2) `targets` is
+    below four times their squared diameter."""
+    x, y = corners[..., 0], corners[..., 1]
+    diam2 = np.maximum.reduce([(x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2
+                               for i, j in ((0, 1), (1, 2), (0, 2))])
+    qx, qy = targets[:, 0], targets[:, 1]
+    inside, dist2 = True, np.inf
     for i in range(3):
-        a, b = p[i], p[(i + 1) % 3]
-        ab = b - a
-        cross = ab[0] * (q[1] - a[1]) - ab[1] * (q[0] - a[0])
-        if cross < 0.0:  # outside this CCW edge
-            inside = False
-        t = np.dot(q - a, ab) / np.dot(ab, ab)
-        t = min(max(t, 0.0), 1.0)
-        d = ((a + t * ab - q) ** 2).sum()
-        best = min(best, d)
-    return 0.0 if inside else best
+        ax, ay = x[:, i, None], y[:, i, None]
+        abx, aby = x[:, (i + 1) % 3, None] - ax, y[:, (i + 1) % 3, None] - ay
+        inside = inside & (abx * (qy - ay) - aby * (qx - ax) >= 0.0)
+        t = np.clip(((qx - ax) * abx + (qy - ay) * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+        dist2 = np.minimum(dist2, (ax + t * abx - qx) ** 2 + (ay + t * aby - qy) ** 2)
+    return (np.where(inside, 0.0, dist2) < 4.0 * diam2[:, None]).any(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,8 @@ def _small_instance(seed, nx=2, ny=2):
 @pytest.fixture(scope="module")
 def edge_study():
     t0 = time.perf_counter()
-    studies = {p: run_lshape_convergence(strategy="edge", p=p, levels=3,
-                                         pitch=1.0 / 192.0, grade=6)
-               for p in (1, 2)}
+    studies = run_lshape_convergence(strategy="edge", p=(1, 2), levels=3,
+                                     pitch=1.0 / 192.0, grade=6)
     return studies, time.perf_counter() - t0
 
 

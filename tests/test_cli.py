@@ -12,11 +12,12 @@ PITCH_1_24 = repr(1.0 / 24.0)
 
 
 def test_lshape_command(tmp_path, capsys):
-    code = main(["lshape", "--levels", "2", "--pitch", PITCH_1_24,
+    code = main(["lshape", "--levels", "3", "--pitch", PITCH_1_24,
                  "--grade", "1", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "eoc_h1" in out and "fine FE floor" in out
+    assert "fitted coarse-part h1 order (levels 0-2)" in out
     assert (tmp_path / "lshape_edge_p1.csv").exists()
     assert (tmp_path / "lshape_edge_p1_floor.csv").exists()
 

@@ -60,11 +60,15 @@ def test_lshape_edge_study_small(tmp_path):
     assert len(text.splitlines()) == 4
     assert (tmp_path / "lshape_edge_p1_floor.csv").exists()
 
-    # byte-identical on rerun
+    # byte-identical on rerun, also when p=1 shares its mesh with p=2
     rerun = tmp_path / "again"
-    run_lshape_convergence(strategy="edge", p=1, levels=3,
-                           pitch=1.0 / 24.0, grade=1, outdir=rerun)
+    studies = run_lshape_convergence(strategy="edge", p=(1, 2), levels=3,
+                                     pitch=1.0 / 24.0, grade=1, outdir=rerun)
+    assert sorted(studies) == [1, 2]
     assert (rerun / "lshape_edge_p1.csv").read_text() == text
+    for name in ("lshape_edge_p1_floor.csv", "lshape_edge_p2_floor.csv"):
+        assert (rerun / name).read_bytes() == (tmp_path / "lshape_edge_p1_floor.csv").read_bytes()
+    assert len((rerun / "lshape_edge_p2.csv").read_text().splitlines()) == 4
 
 
 def test_lshape_edge_study_coarse_part_identity():

@@ -20,6 +20,7 @@ from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
 from trefftz_dd.mesh import (
     DIRICHLET,
     NEUMANN,
+    _near_targets,
     build_dofmap,
     build_overlap,
     connected_components,
@@ -181,8 +182,16 @@ def test_conformity_check_on_load(tmp_path):
     stem = tmp_path / "sq"
     save_triangle(mesh, stem)
     # pitch-1/2 triangles straddle the cells of a 3x3 partition
-    with pytest.raises(NonConformingMesh):
+    with pytest.raises(NonConformingMesh) as exc:
         load_triangle(stem, partition=CoarsePartition(domain.outer, 3, 3))
+    assert exc.value.tri_index == 0
+    # the smallest offending index is reported: at pitch 1/4, triangles 0
+    # and 1 fit the lower-left third, triangle 2 crosses x = 1/3
+    save_triangle(generate_structured(domain, part, 0.25), stem)
+    with pytest.raises(NonConformingMesh) as exc:
+        load_triangle(stem, partition=CoarsePartition(domain.outer, 3, 3))
+    assert exc.value.tri_index == 2
+    save_triangle(mesh, stem)
     # but conform to the 2x2 partition
     back = load_triangle(stem, partition=CoarsePartition(domain.outer, 2, 2))
     assert set(np.unique(back.cell_of_triangle)) == {0, 1, 2, 3}
@@ -223,6 +232,80 @@ def test_refine_toward_deterministic():
     b = refine_toward(mesh, [(0.0, 0.0)], 2)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.triangles, b.triangles)
+
+
+def test_refine_toward_two_targets():
+    domain, part = lshape()
+    mesh = generate_structured(domain, part, 1.0 / 6.0)
+    fine = refine_toward(mesh, [(0.0, 0.0), (-0.5, -0.5)], 3)
+    assert (fine.n_points, fine.n_triangles) == (306, 556)
+    assert_conforming(fine)
+    assert (signed_areas(fine.points, fine.triangles) > 0).all()
+    assert total_area(fine) == pytest.approx(3.0)
+    # both targets are graded: three rounds shrink diameters by 2^1.5 there
+    p = fine.points[fine.triangles]
+    diam = np.hypot(*(p - p[:, [1, 2, 0]]).transpose(2, 0, 1)).max(axis=1)
+    cen = p.mean(axis=1)
+    for q in ((0.0, 0.0), (-0.5, -0.5)):
+        near = np.hypot(cen[:, 0] - q[0], cen[:, 1] - q[1]) < 0.05
+        assert near.any() and diam[near].max() <= mesh.h / 2 ** 1.5 + 1e-12
+
+
+def _dist2_point_triangle_ref(q, p):
+    """Squared distance from point q to the (closed) triangle with rows p."""
+    d = 0.0
+    inside = True
+    best = np.inf
+    for i in range(3):
+        a, b = p[i], p[(i + 1) % 3]
+        ab = b - a
+        cross = ab[0] * (q[1] - a[1]) - ab[1] * (q[0] - a[0])
+        if cross < 0.0:  # outside this CCW edge
+            inside = False
+        t = np.dot(q - a, ab) / np.dot(ab, ab)
+        t = min(max(t, 0.0), 1.0)
+        d = ((a + t * ab - q) ** 2).sum()
+        best = min(best, d)
+    return 0.0 if inside else best
+
+
+def _near_target_ref(p, targets):
+    """Per-triangle marking predicate, one triangle and target at a time."""
+    diam2 = max(((p[i] - p[j]) ** 2).sum() for i, j in ((0, 1), (1, 2), (0, 2)))
+    for q in targets:
+        if _dist2_point_triangle_ref(q, p) < 4.0 * diam2:
+            return True
+    return False
+
+
+def test_near_targets_matches_scalar_reference():
+    rng = np.random.default_rng(20231)
+    p = rng.uniform(-1.0, 1.0, (300, 3, 2))
+    cw = signed_areas(p.reshape(-1, 2), np.arange(p.size // 2).reshape(-1, 3)) < 0
+    p[cw] = p[cw][:, ::-1]
+    # one whole-array call with shared targets scattered over [-4, 4]^2
+    shared = rng.uniform(-4.0, 4.0, (5, 2))
+    got = _near_targets(p, shared)
+    want = np.array([_near_target_ref(tri, shared) for tri in p])
+    assert np.array_equal(got, want) and 0 < want.sum() < len(p)
+    for k in range(len(shared)):
+        want = np.array([_near_target_ref(tri, shared[k:k + 1]) for tri in p])
+        assert np.array_equal(_near_targets(p, shared[k:k + 1]), want)
+    # per-triangle targets: inside, on a vertex, on an edge, far away
+    for tri in p:
+        cases = {"inside": (tri.mean(axis=0), True), "vertex": (tri[1], True),
+                 "edge": (0.5 * (tri[2] + tri[0]), True), "far": (tri[0] + 50.0, False)}
+        for name, (q, expect) in cases.items():
+            got = _near_targets(tri[None], q[None])[0]
+            assert got == _near_target_ref(tri, [q]) == expect, name
+    # distance^2 == 4 diam^2 exactly is not marked; one ulp closer is
+    for tri, q in ((((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (-2.0, -2.0)),     # to a vertex
+                   (((0.0, 0.0), (3.0, 0.0), (0.0, 4.0)), (1.5, -10.0))):    # to an edge
+        tri, q = np.array(tri), np.array(q)
+        closer = np.array([q[0], np.nextafter(q[1], 0.0)])
+        assert not _near_target_ref(tri, [q]) and _near_target_ref(tri, [closer])
+        assert not _near_targets(tri[None], q[None])[0]
+        assert _near_targets(tri[None], closer[None])[0]
 
 
 def test_red_refine_prolongation():
