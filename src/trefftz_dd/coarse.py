@@ -459,18 +459,20 @@ def schur_split(mesh, system, cache, u_full):
     return SchurSplit(bubble, u_full - bubble)
 
 
+def relative_dim(space, partition):
+    """Coarse dimension per coarse node (Trefftz) or per cell (Nicolaides)."""
+    if space.kind == "trefftz":
+        return space.dim / ((partition.nx + 1) * (partition.ny + 1))
+    return space.dim / partition.n_cells
+
+
 def save_coarse_space(space, stem, partition=None):
     """Write the restriction matrix (Matrix Market) and a JSON summary."""
     stem = str(stem)
     save_matrix_market(stem + "_R.mtx", space.R)
-    rel = None
-    if partition is not None:
-        if space.kind == "trefftz":
-            rel = space.dim / ((partition.nx + 1) * (partition.ny + 1))
-        else:
-            rel = space.dim / partition.n_cells
-    summary = {"kind": space.kind, "p": space.p, "r": space.r,
-               "dim": space.dim, "relative_dim": rel}
+    summary = {"kind": space.kind, "p": space.p, "r": space.r, "dim": space.dim,
+               "relative_dim": (relative_dim(space, partition)
+                                if partition is not None else None)}
     with open(stem + "_summary.json", "w") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")

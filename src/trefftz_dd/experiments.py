@@ -8,21 +8,51 @@ precision, so repeated runs produce byte-identical files.
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
-from .coarse import build_cell_cache, build_nicolaides, build_trefftz, coarse_approximation
+from .coarse import (build_cell_cache, build_nicolaides, build_trefftz,
+                     coarse_approximation, relative_dim)
 from .errors import Divergence, PlacementFailure
 from .fem import assemble, error_norms, exact_lshape, solve_fine
 from .geometry import (CoarsePartition, PerforatedDomain, Rect, build_skeleton,
                        cell_extent, load_geometry, refine_edges)
 from .mesh import build_overlap, generate_structured, red_refine, refine_toward
-from .schwarz import ErrorMonitor, build_schwarz, hybrid_iterate, solve_pgmres
+from .schwarz import (REPORT_COLUMNS, ErrorMonitor, build_schwarz,
+                      hybrid_iterate, solve_pgmres)
 
 CONVERGENCE_COLUMNS = "H,dim,l2_rel,h1_rel,eoc_l2,eoc_h1"
 SCALABILITY_COLUMNS = "walls,N,overlap,space,iters,converged,dim,relative_dim,error"
 STUDY_COLUMNS = "method,N,overlap,space,p,r,iters,converged,final_alg_l2,error"
+SPACES = ("trefftz", "nicolaides")
+METHODS = ("hybrid", "gmres")
+
+
+def _format_cell(value):
+    # bool before int: bool is an int subclass
+    if isinstance(value, (bool, np.bool_)):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    return "%.17g" % value
+
+
+def write_csv(path, columns, rows):
+    """Write a header line and one line per row, creating the directory.
+
+    Cells are formatted by type: bools as True/False, strings as is,
+    integers with %d and everything else with %.17g, so floats round-trip
+    and a fixed input gives the same bytes.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as f:
+        f.write(columns + "\n")
+        for row in rows:
+            f.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def lshape_domain():
@@ -52,22 +82,13 @@ def fitted_order(H, err):
     return float((x @ (y - y.mean())) / (x @ x))
 
 
-@dataclass
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     H: float
     dim: int
     l2_rel: float
     h1_rel: float
     eoc_l2: float
     eoc_h1: float
-
-
-def _write_convergence(path, rows):
-    with open(path, "w") as f:
-        f.write(CONVERGENCE_COLUMNS + "\n")
-        for r in rows:
-            f.write("%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
-                    % (r.H, r.dim, r.l2_rel, r.h1_rel, r.eoc_l2, r.eoc_h1))
 
 
 def _convergence_rows(steps):
@@ -155,11 +176,10 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
     floor_rows = _convergence_rows(floor)
     studies = {q: (_convergence_rows(steps[q]), floor_rows) for q in degrees}
     if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
         for q, (rows, _) in studies.items():
             stem = os.path.join(outdir, "lshape_%s_p%d" % (strategy, q))
-            _write_convergence(stem + ".csv", rows)
-            _write_convergence(stem + "_floor.csv", floor_rows)
+            write_csv(stem + ".csv", CONVERGENCE_COLUMNS, rows)
+            write_csv(stem + "_floor.csv", CONVERGENCE_COLUMNS, floor_rows)
     return studies if isinstance(p, tuple) else studies[p]
 
 
@@ -274,14 +294,39 @@ def _study_setup(config):
     return domain, part, mesh, system, skel, ErrorMonitor(mesh, system, exact)
 
 
+def _run_method(method, ctx, monitor, tol, max_iters):
+    """One guarded solve to the algebraic L2 error tol: (report, error note).
+
+    A diverged fixed point keeps its partial report with the note
+    "diverged"; any other numerical failure gives no report and its message.
+    """
+    try:
+        if method == "hybrid":
+            _, report = hybrid_iterate(ctx, monitor, tol=tol, max_iters=max_iters)
+        else:
+            _, report = solve_pgmres(ctx, monitor, error_tol=tol,
+                                     max_iters=max_iters)
+    except Divergence as exc:
+        return exc.report, "diverged"
+    except ArithmeticError as exc:
+        return None, str(exc) or type(exc).__name__
+    return report, ""
+
+
 def run_solver_study(config):
     """Convergence histories of the hybrid and GMRES solvers over a sweep.
 
     Returns {(method, overlap, p, r): IterationReport}; with an output
     directory set, also writes one history CSV per run plus a summary.
     A diverged fixed point contributes its partial history and an error
-    note rather than aborting the sweep.
+    note rather than aborting the sweep.  An unknown coarse space or method
+    raises ValueError before any set-up.
     """
+    if config.space not in SPACES:
+        raise ValueError("unknown coarse space %r" % (config.space,))
+    for method in config.method:
+        if method not in METHODS:
+            raise ValueError("unknown method %r" % (method,))
     domain, part, mesh, system, skel, monitor = _study_setup(config)
     cache = build_cell_cache(mesh, system, skel)
     n_cells = part.nx * part.ny
@@ -296,28 +341,12 @@ def run_solver_study(config):
                 if config.space == "trefftz":
                     space = build_trefftz(mesh, system,
                                           refine_edges(skel, r), p, cache)
-                else:
+                elif config.space == "nicolaides":
                     space = build_nicolaides(mesh, system, ov)
                 ctx = build_schwarz(system, ov, coarse=space)
                 for method in config.method:
-                    err = ""
-                    report = None
-                    try:
-                        if method == "hybrid":
-                            _, report = hybrid_iterate(
-                                ctx, monitor, tol=config.tol,
-                                max_iters=config.max_iters)
-                        elif method == "gmres":
-                            _, report = solve_pgmres(
-                                ctx, monitor, error_tol=config.tol,
-                                max_iters=config.max_iters)
-                        else:
-                            raise ValueError("unknown method %r" % (method,))
-                    except Divergence as exc:
-                        report = exc.report
-                        err = "diverged"
-                    except ArithmeticError as exc:
-                        err = str(exc) or type(exc).__name__
+                    report, err = _run_method(method, ctx, monitor, config.tol,
+                                              config.max_iters)
                     reports[(method, rule, p, r)] = report
                     summary.append((method, n_cells, rule, config.space, p, r,
                                     report.iterations if report else -1,
@@ -325,16 +354,13 @@ def run_solver_study(config):
                                     report.rows[-1][2] if report else float("nan"),
                                     err))
                     if config.outdir is not None and report is not None:
-                        os.makedirs(config.outdir, exist_ok=True)
                         name = "history_%s_N%d_ov%s_p%d_r%d.csv" % (
                             method, n_cells, rule, p, r)
-                        report.save_csv(os.path.join(config.outdir, name))
+                        write_csv(os.path.join(config.outdir, name),
+                                  REPORT_COLUMNS, report.rows)
     if config.outdir is not None:
-        os.makedirs(config.outdir, exist_ok=True)
-        with open(os.path.join(config.outdir, "study_summary.csv"), "w") as f:
-            f.write(STUDY_COLUMNS + "\n")
-            for row in summary:
-                f.write("%s,%d,%s,%s,%d,%d,%d,%s,%.17g,%s\n" % row)
+        write_csv(os.path.join(config.outdir, "study_summary.csv"),
+                  STUDY_COLUMNS, summary)
     return reports
 
 
@@ -349,19 +375,16 @@ def run_scalability(seed=1, outdir=None, n_values=(4, 16, 64, 256),
     tabulates iterations, coarse dimension, and dimension relative to the
     coarse-node (or subdomain) count.
     """
+    if any(N < 1 or math.isqrt(N) ** 2 != N for N in n_values):
+        raise ValueError("n_values entries must be positive perfect squares")
     rows = []
     for walls in (True, False):
-        domain = generate_urban_synthetic(seed, extent, pitch, n_buildings,
-                                          n_walls if walls else 0)
         for N in n_values:
             n = math.isqrt(N)
-            if n * n != N:
-                raise ValueError("n_values entries must be perfect squares")
-            part = CoarsePartition(domain.outer, n, n)
-            mesh = generate_structured(domain, part, pitch)
-            system = assemble(mesh, f=lambda pts: np.ones(len(pts)))
-            monitor = ErrorMonitor(mesh, system)
-            skel = build_skeleton(domain, part)
+            _, part, mesh, system, skel, monitor = _study_setup(ExperimentConfig(
+                geometry="urban", seed=seed, nx=n, ny=n, pitch=pitch,
+                extent=extent, n_buildings=n_buildings,
+                n_walls=n_walls if walls else 0, reference_levels=0))
             cache = build_cell_cache(mesh, system, skel)
             trefftz = build_trefftz(mesh, system, skel, 1, cache)
             for rule in ("min", "h20"):
@@ -371,22 +394,13 @@ def run_scalability(seed=1, outdir=None, n_values=(4, 16, 64, 256),
                 nicolaides = build_nicolaides(mesh, system, ov)
                 for space in (trefftz, nicolaides):
                     ctx = build_schwarz(system, ov, coarse=space)
-                    err = ""
-                    try:
-                        _, report = solve_pgmres(ctx, monitor, error_tol=tol,
-                                                 max_iters=max_iters)
-                        iters, conv = report.iterations, report.converged
-                    except ArithmeticError as exc:
-                        err = str(exc) or type(exc).__name__
-                        iters, conv = -1, False
-                    rel = (space.dim / ((n + 1) * (n + 1))
-                           if space.kind == "trefftz" else space.dim / N)
-                    rows.append((walls, N, rule, space.kind, iters, conv,
-                                 space.dim, rel, err))
+                    report, err = _run_method("gmres", ctx, monitor, tol,
+                                              max_iters)
+                    rows.append((walls, N, rule, space.kind,
+                                 report.iterations if report else -1,
+                                 report.converged if report else False,
+                                 space.dim, relative_dim(space, part), err))
     if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "scalability.csv"), "w") as f:
-            f.write(SCALABILITY_COLUMNS + "\n")
-            for row in rows:
-                f.write("%s,%d,%s,%s,%d,%s,%d,%.17g,%s\n" % row)
+        write_csv(os.path.join(outdir, "scalability.csv"),
+                  SCALABILITY_COLUMNS, rows)
     return rows

@@ -144,21 +144,6 @@ def solve_fine(system):
     return system.expand(system.factorization.solve(system.f))
 
 
-def field_norms(mesh, u_full):
-    """(L2 norm, H1 seminorm) of a piecewise-linear nodal field."""
-    _, area, b, c = _geometry(mesh)
-    vals = u_full[mesh.triangles]
-    l2sq = 0.0
-    for q, w in zip(QUAD_POINTS, QUAD_WEIGHTS):
-        lam = np.array([1.0 - q[0] - q[1], q[0], q[1]])
-        uh = vals @ lam
-        l2sq += 2.0 * w * float(area @ uh ** 2)
-    gx = (vals * b).sum(axis=1) / (2.0 * area)
-    gy = (vals * c).sum(axis=1) / (2.0 * area)
-    h1sq = float(area @ (gx ** 2 + gy ** 2))
-    return np.sqrt(l2sq), np.sqrt(h1sq)
-
-
 def error_norms(mesh, u_full, exact):
     """Relative (L2, H1-seminorm) errors of a nodal field.
 
@@ -225,27 +210,3 @@ def exact_lshape(points):
     grads[origin] = np.inf
     return vals, grads
 
-
-def save_field_csv(path, mesh, u_full):
-    with open(path, "w") as f:
-        f.write("node_id,x,y,value\n")
-        for i, ((x, y), v) in enumerate(zip(mesh.points, u_full)):
-            f.write("%d,%.17g,%.17g,%.17g\n" % (i, x, y, v))
-
-
-def save_field_vtk(path, mesh, u_full, name="u"):
-    """Legacy ASCII VTK unstructured grid with one nodal scalar field."""
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n%s\nASCII\nDATASET UNSTRUCTURED_GRID\n" % name)
-        f.write("POINTS %d double\n" % mesh.n_points)
-        for x, y in mesh.points:
-            f.write("%.17g %.17g 0\n" % (x, y))
-        f.write("CELLS %d %d\n" % (mesh.n_triangles, 4 * mesh.n_triangles))
-        for a, b, c in mesh.triangles:
-            f.write("3 %d %d %d\n" % (a, b, c))
-        f.write("CELL_TYPES %d\n" % mesh.n_triangles)
-        f.write("5\n" * mesh.n_triangles)
-        f.write("POINT_DATA %d\nSCALARS %s double 1\nLOOKUP_TABLE default\n"
-                % (mesh.n_points, name))
-        for v in u_full:
-            f.write("%.17g\n" % v)

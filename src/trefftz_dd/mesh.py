@@ -186,7 +186,7 @@ def generate_structured(domain, partition, pitch):
     return Triangulation(points, tris, cells, bpairs, marker, float(pitch) * np.sqrt(2.0))
 
 
-def assign_cells(points, triangles, partition, tol_rel=1e-9):
+def assign_cells(points, triangles, partition):
     """Coarse-cell index per triangle, rejecting triangles that straddle cells."""
     outer = partition.outer
     w, h = outer.width / partition.nx, outer.height / partition.ny
@@ -194,7 +194,7 @@ def assign_cells(points, triangles, partition, tol_rel=1e-9):
     cen = p.mean(axis=1)
     ix = np.clip(np.floor((cen[:, 0] - outer.x0) / w).astype(int), 0, partition.nx - 1)
     iy = np.clip(np.floor((cen[:, 1] - outer.y0) / h).astype(int), 0, partition.ny - 1)
-    tol = tol_rel * max(w, h)
+    tol = 1e-9 * max(w, h)
     x0, y0 = (outer.x0 + ix * w)[:, None], (outer.y0 + iy * h)[:, None]
     bad = ((p[..., 0] < x0 - tol) | (p[..., 0] > x0 + w + tol)
            | (p[..., 1] < y0 - tol) | (p[..., 1] > y0 + h + tol)).any(axis=1)

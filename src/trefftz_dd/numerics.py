@@ -22,13 +22,6 @@ from .errors import DimMismatch, NotPositiveDefinite
 BREAKDOWN = 1e-300
 
 
-def spmv(A, x):
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise DimMismatch("matrix is %s but vector has length %d" % (A.shape, x.shape[0]))
-    return A @ x
-
-
 class Factorization:
     """Direct solver for a sparse symmetric positive definite matrix.
 
@@ -80,10 +73,9 @@ class GmresOptions:
     rel_tol: float = 1e-8
     max_iters: int = 1000
     restart: int = 200
-    record_history: bool = False
 
 
-def gmres(apply_A, apply_M, b, opts=None, x0=None, callback=None):
+def gmres(apply_A, apply_M, b, opts=None, callback=None):
     """Left-preconditioned restarted GMRES with modified Gram-Schmidt.
 
     Solves A x = b, iterating on M (b - A x).  Convergence is declared when
@@ -98,12 +90,12 @@ def gmres(apply_A, apply_M, b, opts=None, x0=None, callback=None):
         opts = GmresOptions()
     b = np.asarray(b, dtype=float)
     n = len(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
 
     b_norm = float(np.linalg.norm(apply_M(b)))
     pre_res = []
     info = {"converged": False, "breakdown": False, "stagnation": False,
-            "iterations": 0, "pre_res": pre_res, "true_res": [] if opts.record_history else None}
+            "iterations": 0, "pre_res": pre_res}
     if b_norm == 0.0:
         info["converged"] = True
         return np.zeros(n), info
@@ -158,13 +150,9 @@ def gmres(apply_A, apply_M, b, opts=None, x0=None, callback=None):
             res = abs(g[j + 1])
             total += 1
             pre_res.append(res)
-            if callback is not None or opts.record_history:
-                xk = current(V, H, g, j, x)
-                if opts.record_history:
-                    info["true_res"].append(float(np.linalg.norm(b - apply_A(xk)))
-                                            / float(np.linalg.norm(b)))
-                if callback is not None and callback(total, xk, res, b_norm):
-                    stop = True
+            if callback is not None and callback(total, current(V, H, g, j, x),
+                                                 res, b_norm):
+                stop = True
             if lucky:
                 info["breakdown"] = True
                 info["converged"] = True
@@ -183,8 +171,6 @@ def gmres(apply_A, apply_M, b, opts=None, x0=None, callback=None):
                 break
     info["iterations"] = total
     info["pre_res"] = np.asarray(pre_res)
-    if info["true_res"] is not None:
-        info["true_res"] = np.asarray(info["true_res"])
     return x, info
 
 

@@ -8,7 +8,6 @@ preconditioner M_RAS^{-1} + M_H^{-1} for GMRES; the fixed-point variant
 composes the two corrections multiplicatively (a purely additive fixed
 point does not converge).
 """
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .coarse import CoarseSpace, coarse_approximation
 from .errors import Divergence
 from .fem import AssembledSystem, error_norms, mass_matrix, solve_fine
-from .mesh import Overlap, Triangulation
 from .numerics import Factorization, GmresOptions, gmres
 
 REPORT_COLUMNS = "iter,res_norm,alg_err_L2,alg_err_H1,full_err_L2,full_err_H1"
@@ -106,20 +104,13 @@ class IterationReport:
     rows: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    wall_time: float = 0.0
-
-    def save_csv(self, path):
-        with open(path, "w") as f:
-            f.write(REPORT_COLUMNS + "\n")
-            for row in self.rows:
-                f.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row))
 
     def column(self, name):
         i = REPORT_COLUMNS.split(",").index(name)
         return np.array([row[i] for row in self.rows])
 
 
-def hybrid_iterate(ctx, monitor, f=None, u0=None, tol=None, max_iters=200):
+def hybrid_iterate(ctx, monitor, u0=None, tol=None, max_iters=200):
     """Two-level fixed point: a RAS sweep followed by a coarse correction.
 
     Each iteration performs u <- u + M_RAS^{-1}(f - A u) and then
@@ -133,15 +124,11 @@ def hybrid_iterate(ctx, monitor, f=None, u0=None, tol=None, max_iters=200):
     system = ctx.system
     if ctx.coarse is None:
         raise ValueError("hybrid iteration needs a coarse space")
-    A = system.A
-    if f is None:
-        f = system.f
+    A, f = system.A, system.f
     if u0 is None:
         u0 = coarse_approximation(system, ctx.coarse)
     u = system.restrict(np.asarray(u0, dtype=float))
     f_norm = np.linalg.norm(f) or 1.0
-
-    t0 = time.perf_counter()
     report = IterationReport("hybrid")
 
     def push(k):
@@ -159,7 +146,6 @@ def hybrid_iterate(ctx, monitor, f=None, u0=None, tol=None, max_iters=200):
         best = min(best, alg)
         if alg > 1e3 * best and alg > 1e-12:
             report.iterations = n
-            report.wall_time = time.perf_counter() - t0
             raise Divergence(report)
         if tol is not None:
             if alg <= tol:
@@ -169,12 +155,11 @@ def hybrid_iterate(ctx, monitor, f=None, u0=None, tol=None, max_iters=200):
             report.converged = True
             break
     report.iterations = n
-    report.wall_time = time.perf_counter() - t0
     return system.expand(u), report
 
 
-def solve_pgmres(ctx, monitor=None, f=None, rel_tol=1e-8, error_tol=None,
-                 max_iters=400, restart=200):
+def solve_pgmres(ctx, monitor=None, rel_tol=1e-8, error_tol=None,
+                 max_iters=400):
     """Preconditioned GMRES with the RAS (or two-level) preconditioner.
 
     Solves M^{-1} A u = M^{-1} f where M^{-1} is apply_two_level when the
@@ -187,11 +172,8 @@ def solve_pgmres(ctx, monitor=None, f=None, rel_tol=1e-8, error_tol=None,
     system = ctx.system
     if error_tol is not None and monitor is None:
         raise ValueError("error_tol stopping needs an ErrorMonitor")
-    if f is None:
-        f = system.f
+    f = system.f
     apply_m = apply_two_level if ctx.coarse is not None else apply_ras
-
-    t0 = time.perf_counter()
     report = IterationReport("gmres")
     f_norm = np.linalg.norm(f) or 1.0
     if monitor is not None:
@@ -213,10 +195,9 @@ def solve_pgmres(ctx, monitor=None, f=None, rel_tol=1e-8, error_tol=None,
         return False
 
     opts = GmresOptions(rel_tol=0.0 if error_tol is not None else rel_tol,
-                        max_iters=max_iters, restart=restart)
+                        max_iters=max_iters)
     x, info = gmres(lambda v: ctx.system.A @ v, lambda v: apply_m(ctx, v),
                     f, opts, callback=callback)
     report.converged = hit[0] if error_tol is not None else info["converged"]
     report.iterations = info["iterations"]
-    report.wall_time = time.perf_counter() - t0
     return system.expand(x), report

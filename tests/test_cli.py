@@ -75,6 +75,15 @@ def test_config_file_defaults_and_overrides(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     assert main(["lshape", "--config", str(tmp_path / "missing.json")]) == 2
 
+    # a config value bypasses argparse choices, so the driver rejects it
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"space": "trefft"}))
+    out = tmp_path / "typo"
+    assert main(["solve", "--grid", "3", "3", "--pitch", PITCH_1_24,
+                 "--config", str(typo), "--out", str(out)]) == 2
+    assert "unknown coarse space" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_validation_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:

@@ -17,6 +17,7 @@ from trefftz_dd.experiments import (
     run_lshape_convergence,
     run_scalability,
     run_solver_study,
+    write_csv,
 )
 from trefftz_dd.fem import assemble, error_norms, exact_lshape, solve_fine
 from trefftz_dd.geometry import CoarsePartition, Rect, build_skeleton, refine_edges
@@ -163,6 +164,26 @@ def test_solver_study_small(tmp_path):
     summary = (tmp_path / "study_summary.csv").read_text().splitlines()
     assert summary[0] == STUDY_COLUMNS
     assert len(summary) == 5
+
+
+def test_solver_study_rejects_unknown_space_and_method(tmp_path):
+    base = dict(geometry="lshape", nx=3, ny=3, pitch=1.0 / 24.0,
+                outdir=str(tmp_path))
+    with pytest.raises(ValueError, match="coarse space"):
+        run_solver_study(ExperimentConfig(space="trefft", **base))
+    with pytest.raises(ValueError, match="method"):
+        run_solver_study(ExperimentConfig(method=("gmres", "cg"), **base))
+    assert not any(tmp_path.iterdir())
+
+
+def test_write_csv_formats_by_type(tmp_path):
+    path = tmp_path / "sub" / "row.csv"
+    write_csv(path, "a,b,c,d,e,f,g,h",
+              [(True, np.bool_(False), 3, np.int64(-1), 0.1,
+                np.float64(1.0 / 3.0), float("nan"), "h20")])
+    assert path.read_text() == (
+        "a,b,c,d,e,f,g,h\n"
+        "True,False,3,-1,0.10000000000000001,0.33333333333333331,nan,h20\n")
 
 
 def test_scalability_tiny(tmp_path):

@@ -17,9 +17,7 @@ from trefftz_dd.fem import (
     assemble,
     error_norms,
     exact_lshape,
-    field_norms,
     mass_matrix,
-    save_field_csv,
     solve_fine,
     stiffness_matrix,
 )
@@ -123,18 +121,6 @@ def test_manufactured_convergence_rates():
     assert 0.9 < np.log2(h1a / h1b) < 1.1 and 0.9 < np.log2(h1b / h1c) < 1.1
 
 
-def test_field_norms_constant_and_linear():
-    mesh = lshape_mesh(1.0 / 3.0)
-    l2, h1 = field_norms(mesh, np.ones(mesh.n_points))
-    assert l2 == pytest.approx(np.sqrt(3.0), rel=1e-12)  # domain area is 3
-    assert h1 == pytest.approx(0.0, abs=1e-13)
-    l2, h1 = field_norms(mesh, mesh.points[:, 0])
-    # integral of x^2 over the L-shape = 2/3 + ... computed by splitting:
-    # whole square 4/3 minus quadrant integral 1/3
-    assert l2 == pytest.approx(np.sqrt(1.0), rel=1e-12)
-    assert h1 == pytest.approx(np.sqrt(3.0), rel=1e-12)
-
-
 def test_exact_lshape_is_harmonic_with_neumann_walls():
     rng = np.random.default_rng(7)
     # harmonicity by 5-point finite differences away from the corner
@@ -208,13 +194,3 @@ def test_dirichlet_elimination_and_expand():
     res = system.load_full - system.A_full @ u
     assert np.abs(res[dofmap.free_nodes]).max() < 1e-10
     assert np.array_equal(system.restrict(u), u[dofmap.free_nodes])
-
-
-def test_save_field_csv(tmp_path):
-    mesh = unit_square_mesh(0.5)
-    path = tmp_path / "field.csv"
-    save_field_csv(path, mesh, np.arange(mesh.n_points, dtype=float))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node_id,x,y,value"
-    assert len(lines) == mesh.n_points + 1
-    assert lines[1].split(",")[0] == "0"

@@ -10,7 +10,6 @@ from trefftz_dd.numerics import (
     gmres,
     load_matrix_market,
     save_matrix_market,
-    spmv,
 )
 
 
@@ -18,13 +17,6 @@ def random_spd(rng, n, density=0.3):
     B = sparse_random(n, n, density=density, random_state=np.random.RandomState(rng.integers(2**31)))
     A = (B @ B.T).toarray() + n * np.eye(n)
     return csr_matrix(A)
-
-
-def test_spmv_checks_shapes():
-    A = csr_matrix(np.eye(3))
-    assert np.allclose(spmv(A, np.ones(3)), np.ones(3))
-    with pytest.raises(DimMismatch):
-        spmv(A, np.ones(4))
 
 
 def test_factorization_matches_dense_solve():
@@ -117,11 +109,11 @@ def test_gmres_history_and_identity_breakdown():
     A = random_spd(rng, 20)
     b = rng.standard_normal(20)
     x, info = gmres(lambda v: A @ v, lambda v: v, b,
-                    GmresOptions(rel_tol=1e-10, record_history=True))
+                    GmresOptions(rel_tol=1e-10))
     res = info["pre_res"]
     assert len(res) == info["iterations"]
     assert (np.diff(res) <= 1e-12 * res[0]).all()  # Givens residuals never grow
-    assert info["true_res"][-1] <= 2e-10
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 2e-10
 
     # A = I converges in one step by exact breakdown
     x, info = gmres(lambda v: v, lambda v: v, b, GmresOptions())

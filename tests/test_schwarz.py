@@ -9,6 +9,7 @@ import pytest
 
 from trefftz_dd.coarse import build_trefftz, coarse_approximation
 from trefftz_dd.errors import Divergence
+from trefftz_dd.experiments import write_csv
 from trefftz_dd.fem import assemble, exact_lshape, error_norms, solve_fine
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect, build_skeleton
 from trefftz_dd.mesh import build_overlap, generate_structured
@@ -238,7 +239,7 @@ def test_monitor_full_error_and_csv(tmp_path):
     assert report.rows[-1][5] == pytest.approx(fe_h1, rel=1e-6)
 
     path = tmp_path / "history.csv"
-    report.save_csv(path)
+    write_csv(path, REPORT_COLUMNS, report.rows)
     lines = path.read_text().splitlines()
     assert lines[0] == REPORT_COLUMNS
     back = np.genfromtxt(path, delimiter=",", names=True)
@@ -246,6 +247,6 @@ def test_monitor_full_error_and_csv(tmp_path):
     assert np.allclose(back["alg_err_L2"], report.column("alg_err_L2"))
 
     empty = IterationReport("gmres", [(0, 1.0, np.nan, np.nan, np.nan, np.nan)])
-    empty.save_csv(tmp_path / "nan.csv")
+    write_csv(tmp_path / "nan.csv", REPORT_COLUMNS, empty.rows)
     text = (tmp_path / "nan.csv").read_text()
     assert "nan" in text.splitlines()[1]
