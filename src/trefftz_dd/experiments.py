@@ -7,7 +7,7 @@ precision, so repeated runs produce byte-identical files.
 """
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -336,14 +336,17 @@ def run_solver_study(config):
         ov = build_overlap(mesh, system.dofmap,
                            overlap_layers(part, config.pitch, rule),
                            n_cells=n_cells)
+        local = build_schwarz(system, ov)
+        if config.space == "nicolaides":    # independent of p and r
+            nicolaides = build_nicolaides(mesh, system, ov)
         for p in config.p:
             for r in config.edge_ref:
                 if config.space == "trefftz":
                     space = build_trefftz(mesh, system,
                                           refine_edges(skel, r), p, cache)
-                elif config.space == "nicolaides":
-                    space = build_nicolaides(mesh, system, ov)
-                ctx = build_schwarz(system, ov, coarse=space)
+                else:
+                    space = nicolaides
+                ctx = replace(local, coarse=space)
                 for method in config.method:
                     report, err = _run_method(method, ctx, monitor, config.tol,
                                               config.max_iters)
@@ -391,9 +394,9 @@ def run_scalability(seed=1, outdir=None, n_values=(4, 16, 64, 256),
                 ov = build_overlap(mesh, system.dofmap,
                                    overlap_layers(part, pitch, rule),
                                    n_cells=N)
-                nicolaides = build_nicolaides(mesh, system, ov)
-                for space in (trefftz, nicolaides):
-                    ctx = build_schwarz(system, ov, coarse=space)
+                local = build_schwarz(system, ov)
+                for space in (trefftz, build_nicolaides(mesh, system, ov)):
+                    ctx = replace(local, coarse=space)
                     report, err = _run_method("gmres", ctx, monitor, tol,
                                               max_iters)
                     rows.append((walls, N, rule, space.kind,

@@ -12,13 +12,14 @@ discretization error measured here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DegenerateTriangle, MeshNotNested
-from .mesh import build_dofmap, signed_areas
+from .mesh import Triangulation, build_dofmap, signed_areas
 from .numerics import Factorization
 
 
@@ -144,25 +145,54 @@ def solve_fine(system):
     return system.expand(system.factorization.solve(system.f))
 
 
+class NestedReference(NamedTuple):
+    """A reference field on a refinement of the field's mesh, with the
+    reference mass and stiffness matrices and the field's norms in them."""
+    mesh: Triangulation
+    field: np.ndarray
+    P: csr_matrix              # prolongation, field's mesh -> reference mesh
+    M: csr_matrix
+    A: csr_matrix
+    l2_norm: float
+    h1_norm: float
+
+
+def _check_nested(mesh, ref_mesh, P):
+    if P.shape != (ref_mesh.n_points, mesh.n_points) \
+            or ref_mesh.n_points < mesh.n_points \
+            or not np.array_equal(ref_mesh.points[:mesh.n_points], mesh.points):
+        raise MeshNotNested("reference mesh is not a refinement of the field's mesh")
+
+
+def nested_reference(mesh, ref_mesh, ref_field, P):
+    """Check that `mesh` is nested in ref_mesh under P, then assemble the
+    reference operators and norms once for repeated `error_norms` calls."""
+    _check_nested(mesh, ref_mesh, P)
+    M = mass_matrix(ref_mesh)
+    A = stiffness_matrix(ref_mesh)
+    return NestedReference(ref_mesh, ref_field, P, M, A,
+                           np.sqrt(ref_field @ (M @ ref_field)),
+                           np.sqrt(ref_field @ (A @ ref_field)))
+
+
 def error_norms(mesh, u_full, exact):
     """Relative (L2, H1-seminorm) errors of a nodal field.
 
     `exact` is either a callable points -> (values, gradients), integrated
-    by quadrature, or a triple (ref_mesh, ref_field, P) with the field's
-    mesh nested in ref_mesh under prolongation P, in which case the error
-    is measured discretely on the reference mesh.
+    by quadrature, or a nested reference: a triple (ref_mesh, ref_field, P)
+    with the field's mesh nested in ref_mesh under prolongation P, or the
+    `NestedReference` that `nested_reference` builds from one.  The error
+    is then measured discretely on the reference mesh.  A triple has its
+    reference operators assembled on every call; a `NestedReference`
+    carries them, built once, so a call costs two sparse products.  Nesting
+    is checked on every call.
     """
     if isinstance(exact, tuple):
-        ref_mesh, ref_field, P = exact
-        if P.shape != (ref_mesh.n_points, mesh.n_points) \
-                or ref_mesh.n_points < mesh.n_points \
-                or not np.array_equal(ref_mesh.points[:mesh.n_points], mesh.points):
-            raise MeshNotNested("reference mesh is not a refinement of the field's mesh")
-        e = ref_field - P @ u_full
-        M = mass_matrix(ref_mesh)
-        A = stiffness_matrix(ref_mesh)
-        l2 = np.sqrt(e @ (M @ e)) / np.sqrt(ref_field @ (M @ ref_field))
-        h1 = np.sqrt(e @ (A @ e)) / np.sqrt(ref_field @ (A @ ref_field))
+        ref = exact if isinstance(exact, NestedReference) else nested_reference(mesh, *exact)
+        _check_nested(mesh, ref.mesh, ref.P)
+        e = ref.field - ref.P @ u_full
+        l2 = np.sqrt(e @ (ref.M @ e)) / ref.l2_norm
+        h1 = np.sqrt(e @ (ref.A @ e)) / ref.h1_norm
         return float(l2), float(h1)
 
     p, area, b, c = _geometry(mesh)

@@ -93,10 +93,18 @@ def max_edge_length(points, triangles):
     return float(_edge_lengths(points, _all_edges(triangles)).max())
 
 
+def _unique_edges(edges, n):
+    """Distinct rows of `edges`, sorted pairs a < b < n, in lexicographic
+    order, with the inverse map and the counts: np.unique over the int64
+    keys a*n + b, whose order is the lexicographic row order."""
+    keys, inverse, counts = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1],
+                                      return_inverse=True, return_counts=True)
+    return np.column_stack([keys // n, keys % n]).astype(edges.dtype), inverse, counts
+
+
 def _boundary_pairs(triangles):
     """Canonical pairs of edges owned by exactly one triangle."""
-    edges = _all_edges(triangles)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    uniq, _, counts = _unique_edges(_all_edges(triangles), int(triangles.max()) + 1)
     return uniq[counts == 1]
 
 
@@ -497,7 +505,7 @@ def red_refine(mesh, levels=1):
     for _ in range(levels):
         n = len(points)
         edges = _all_edges(tris)
-        uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
+        uniq, inverse, _ = _unique_edges(edges, n)
         ne = len(uniq)
         mid_id = n + np.arange(ne)
         points = np.vstack([points, 0.5 * (points[uniq[:, 0]] + points[uniq[:, 1]])])

@@ -14,7 +14,8 @@ import numpy as np
 
 from .coarse import CoarseSpace, coarse_approximation
 from .errors import Divergence
-from .fem import AssembledSystem, error_norms, mass_matrix, solve_fine
+from .fem import (AssembledSystem, NestedReference, error_norms, mass_matrix,
+                  nested_reference, solve_fine)
 from .numerics import Factorization, GmresOptions, gmres
 
 REPORT_COLUMNS = "iter,res_norm,alg_err_L2,alg_err_H1,full_err_L2,full_err_H1"
@@ -67,12 +68,17 @@ class ErrorMonitor:
     The algebraic error measures the gap to the fine finite element solution
     (computed once by direct solve) in the relative L2 and H1 norms of the
     mesh; the full error measures the gap to the exact solution, supplied
-    either as a callable (values, gradients) or as a nested reference triple
-    (ref_mesh, ref_field, P).  Without an exact solution the full-error
-    columns are recorded as nan.
+    either as a callable (values, gradients) or as a nested reference, a
+    triple (ref_mesh, ref_field, P) or a `NestedReference`.  A triple is
+    checked for nesting and its reference mass and stiffness matrices are
+    assembled once, here, so each `record` costs two sparse products on the
+    reference mesh.  Without an exact solution the full-error columns are
+    recorded as nan.
     """
 
     def __init__(self, mesh, system, exact=None):
+        if isinstance(exact, tuple) and not isinstance(exact, NestedReference):
+            exact = nested_reference(mesh, *exact)
         self.mesh = mesh
         self.system = system
         self.exact = exact

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from trefftz_dd import experiments
 from trefftz_dd.coarse import build_cell_cache, build_trefftz, coarse_approximation
 from trefftz_dd.errors import PlacementFailure
 from trefftz_dd.experiments import (
@@ -164,6 +165,22 @@ def test_solver_study_small(tmp_path):
     summary = (tmp_path / "study_summary.csv").read_text().splitlines()
     assert summary[0] == STUDY_COLUMNS
     assert len(summary) == 5
+
+
+def test_nicolaides_study_builds_once_per_overlap(tmp_path, monkeypatch):
+    calls = {"build_nicolaides": 0, "build_schwarz": 0}
+    for name in calls:
+        def counted(*args, orig=getattr(experiments, name), name=name, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    reports = run_solver_study(ExperimentConfig(
+        geometry="lshape", nx=3, ny=3, pitch=1.0 / 24.0, p=(1, 2), edge_ref=(0, 1),
+        overlap=("min", "h20"), method=("gmres",), space="nicolaides", tol=1e-6,
+        outdir=str(tmp_path)))
+    assert calls == {"build_nicolaides": 2, "build_schwarz": 2}
+    assert len(reports) == 8
+    assert len((tmp_path / "study_summary.csv").read_text().splitlines()) == 9
 
 
 def test_solver_study_rejects_unknown_space_and_method(tmp_path):

@@ -8,6 +8,7 @@ Python breadth-first search / union-find reimplementations.
 import numpy as np
 import pytest
 
+from trefftz_dd import mesh as mesh_module
 from trefftz_dd.errors import (
     DegenerateTriangle,
     DisconnectedDomain,
@@ -16,10 +17,12 @@ from trefftz_dd.errors import (
     ParseError,
     PitchMismatch,
 )
+from trefftz_dd.experiments import generate_urban_synthetic
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
 from trefftz_dd.mesh import (
     DIRICHLET,
     NEUMANN,
+    _boundary_pairs,
     _near_targets,
     build_dofmap,
     build_overlap,
@@ -325,6 +328,46 @@ def test_red_refine_prolongation():
     assert np.abs(P @ lin - lin_fine).max() < 1e-14
     assert marker_length(fine, NEUMANN) == pytest.approx(2.0)
     assert fine.h == pytest.approx(mesh.h / 4)
+
+
+def _unique_edges_ref(edges, n):
+    """Row deduplication as np.unique(axis=0), which `_unique_edges`
+    replaces with np.unique over int64 keys."""
+    return np.unique(edges, axis=0, return_inverse=True, return_counts=True)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _urban_mesh():
+    domain = generate_urban_synthetic(1, 160.0, 2.5, 8, 4)
+    return generate_structured(domain, CoarsePartition(domain.outer, 4, 4), 2.5)
+
+
+EDGE_KEY_MESHES = {
+    "lshape": lambda: generate_structured(*lshape(), 1.0 / 12.0),
+    "urban": _urban_mesh,
+    "graded": lambda: refine_toward(generate_structured(*lshape(), 1.0 / 12.0),
+                                    np.array([[0.0, 0.0]]), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_KEY_MESHES))
+def test_edge_keys_match_row_unique(name, monkeypatch):
+    mesh = EDGE_KEY_MESHES[name]()
+    pairs = _boundary_pairs(mesh.triangles)
+    fine, P = red_refine(mesh, 2)
+    monkeypatch.setattr(mesh_module, "_unique_edges", _unique_edges_ref)
+    ref_fine, ref_P = red_refine(mesh, 2)
+    assert _same_bytes(pairs, _boundary_pairs(mesh.triangles))
+    for field in ("points", "triangles", "cell_of_triangle", "boundary_edges",
+                  "boundary_marker"):
+        assert _same_bytes(getattr(fine, field), getattr(ref_fine, field)), field
+    assert fine.h == ref_fine.h
+    assert P.shape == ref_P.shape
+    for part in ("data", "indices", "indptr"):
+        assert _same_bytes(getattr(P, part), getattr(ref_P, part)), part
 
 
 def grow_overlap_bfs(mesh, cell, layers):

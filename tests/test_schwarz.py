@@ -7,12 +7,13 @@ hybrid iteration, and the partition-of-unity identity of the weights.
 import numpy as np
 import pytest
 
+from trefftz_dd import fem, schwarz
 from trefftz_dd.coarse import build_trefftz, coarse_approximation
-from trefftz_dd.errors import Divergence
+from trefftz_dd.errors import Divergence, MeshNotNested
 from trefftz_dd.experiments import write_csv
 from trefftz_dd.fem import assemble, exact_lshape, error_norms, solve_fine
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect, build_skeleton
-from trefftz_dd.mesh import build_overlap, generate_structured
+from trefftz_dd.mesh import build_overlap, generate_structured, red_refine
 from trefftz_dd.schwarz import (
     REPORT_COLUMNS,
     ErrorMonitor,
@@ -250,3 +251,37 @@ def test_monitor_full_error_and_csv(tmp_path):
     write_csv(tmp_path / "nan.csv", REPORT_COLUMNS, empty.rows)
     text = (tmp_path / "nan.csv").read_text()
     assert "nan" in text.splitlines()[1]
+
+
+def test_monitor_builds_nested_reference_once(monkeypatch):
+    ones = lambda pts: np.ones(len(pts))
+    _, _, mesh, system, _ = perforated_square(f=ones)
+    ref, P = red_refine(mesh, 1)
+    ref_field = solve_fine(assemble(ref, f=ones))
+    built = []
+    for name in ("mass_matrix", "stiffness_matrix"):
+        def counted(m, orig=getattr(fem, name), name=name):
+            built.append((name, m is ref))
+            return orig(m)
+        monkeypatch.setattr(fem, name, counted)
+    monitor = ErrorMonitor(mesh, system, (ref, ref_field, P))
+    rng = np.random.default_rng(5)
+    fields = [monitor.u_fine, system.expand(np.zeros(system.dofmap.n_free)),
+              monitor.u_fine + 1e-3 * rng.standard_normal(mesh.n_points)]
+    recorded = [monitor.record(u)[2:] for u in fields]
+    assert sorted(built) == [("mass_matrix", True), ("stiffness_matrix", True)]
+    monkeypatch.undo()
+    for u, full in zip(fields, recorded):
+        assert full == error_norms(mesh, u, (ref, ref_field, P))   # bitwise
+
+
+def test_monitor_rejects_unnested_reference_before_solving(monkeypatch):
+    _, _, mesh, system, _ = perforated_square()
+    ref, P = red_refine(perforated_square(pitch=1.0 / 32.0)[2], 1)
+
+    def no_solve(system):
+        raise AssertionError("solved before checking the reference")
+
+    monkeypatch.setattr(schwarz, "solve_fine", no_solve)
+    with pytest.raises(MeshNotNested):
+        ErrorMonitor(mesh, system, (ref, np.zeros(ref.n_points), P))
