@@ -16,7 +16,6 @@ from trefftz_dd.coarse import (
     build_nicolaides,
     build_trefftz,
     coarse_approximation,
-    save_coarse_space,
     schur_split,
 )
 from trefftz_dd.schwarz import (

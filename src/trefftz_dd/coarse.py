@@ -13,7 +13,6 @@ each overlapping subdomain) is provided as the classical baseline.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .geometry import snap
 from .mesh import connected_components
-from .numerics import Factorization, save_matrix_market
+from .numerics import Factorization
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +39,21 @@ class _AxisBuckets:
     """Mesh nodes grouped by snapped x (sorted by y) and by snapped y."""
 
     def __init__(self, points):
-        by_x, by_y = defaultdict(list), defaultdict(list)
-        for i, (x, y) in enumerate(points):
-            by_x[snap(x)].append(i)
-            by_y[snap(y)].append(i)
-        self.by_x = {k: self._pack(points, v, 1) for k, v in by_x.items()}
-        self.by_y = {k: self._pack(points, v, 0) for k, v in by_y.items()}
+        self.by_x = self._group(points, 0)
+        self.by_y = self._group(points, 1)
 
     @staticmethod
-    def _pack(points, ids, axis):
-        ids = np.asarray(ids)
-        order = np.argsort(points[ids, axis], kind="stable")
-        ids = ids[order]
-        return points[ids, axis], ids
+    def _group(points, axis):
+        """{snap(coordinate): (other coordinates ascending, node ids)}; ties
+        in the other coordinate keep ascending node id.  Distinct raw values
+        that snap alike share one bucket."""
+        values, inverse = np.unique(points[:, axis], return_inverse=True)
+        keys, key_of_value = np.unique([snap(v) for v in values], return_inverse=True)
+        key = key_of_value[inverse.ravel()]
+        other = points[:, 1 - axis]
+        ids = np.lexsort((other, key))
+        chunks = np.split(ids, np.flatnonzero(np.diff(key[ids])) + 1)
+        return {k: (other[chunk], chunk) for k, chunk in zip(keys.tolist(), chunks)}
 
     def on_segment(self, pa, pb):
         """Node ids on the closed axis-aligned segment pa-pb, ordered pa -> pb."""
@@ -169,11 +170,14 @@ def build_cell_cache(mesh, system, skeleton):
 def harmonic_extension(cache, j, trace_values):
     """Discrete-harmonic extension into cell j of values on its trace nodes.
 
-    `trace_values` is indexed like cache.cells[j].trace; returns values on
-    cache.cells[j].nodes (same order).
+    `trace_values` is indexed like cache.cells[j].trace: a vector, or an
+    (n_trace, k) block of k traces extended by one multi-RHS solve.  Returns
+    values on cache.cells[j].nodes (same order), shaped (n_nodes,) or
+    (n_nodes, k).
     """
     data = cache.cells[j]
-    out = np.empty(len(data.nodes))
+    trace_values = np.asarray(trace_values, dtype=float)
+    out = np.empty((len(data.nodes),) + trace_values.shape[1:])
     out[data.trace_mask] = trace_values
     if data.fact is not None:
         out[~data.trace_mask] = data.fact.solve(-(data.A_it @ trace_values))
@@ -284,52 +288,36 @@ class CoarseSpace:
 
 
 def _extend_rows(mesh, system, cache, trace_rows, support_cells):
-    """Glue cell-by-cell harmonic extensions of each trace row.
+    """Glue cell-by-cell harmonic extensions of the trace rows.
 
     Returns a dim x n_free sparse matrix of basis functions on free dofs.
-    Trace nodes shared by several cells receive identical values from each
-    side, written once; disagreement or an interior collision means the
-    gluing is inconsistent and raises GluingMismatch.
+    Skeleton values are taken once from trace_rows, so cells sharing a trace
+    node cannot disagree on it.  Each cell extends all the rows it supports
+    in one multi-RHS solve; a node interior to two cells means the cells
+    overlap, and the gluing raises GluingMismatch.
     """
-    dofmap = system.dofmap
-    slot_cols = {}
-    for j, data in cache.cells.items():
-        slot_cols[j] = cache.slot_of_node[data.trace]
+    g2f = system.dofmap.global_to_free
+    interior = np.concatenate([data.interior for data in cache.cells.values()])
+    if np.bincount(interior, minlength=mesh.n_points).max() > 1:
+        raise GluingMismatch("interior node written by two cells")
 
-    ri, rj, rv = [], [], []
-    phi = np.zeros(mesh.n_points)
-    written = np.zeros(mesh.n_points, dtype=np.int8)
-    for row in range(trace_rows.shape[0]):
-        tr = np.asarray(trace_rows[row].todense()).ravel()
-        touched = []
-        for j in support_cells[row]:
-            data = cache.cells[j]
-            vals = tr[slot_cols[j]]
-            ext = harmonic_extension(cache, j, vals)
-            for nodes, piece, flag in ((data.trace, ext[data.trace_mask], 1),
-                                       (data.interior, ext[~data.trace_mask], 2)):
-                prev = written[nodes]
-                if flag == 2 and (prev == 2).any():
-                    raise GluingMismatch("interior node written by two cells")
-                mism = prev > 0
-                if mism.any() and np.abs(phi[nodes[mism]] - piece[mism]).max() > 1e-9:
-                    raise GluingMismatch("cell extensions disagree on the skeleton")
-                phi[nodes] = piece
-                written[nodes] = flag
-            touched.append(data.nodes)
-        if touched:
-            nodes = np.unique(np.concatenate(touched))
-            free = dofmap.global_to_free[nodes]
-            sel = free >= 0
-            vals = phi[nodes[sel]]
-            nz = vals != 0.0
-            ri.extend([row] * int(nz.sum()))
-            rj.extend(free[sel][nz].tolist())
-            rv.extend(vals[nz].tolist())
-            phi[nodes] = 0.0
-            written[nodes] = 0
-    return coo_matrix((rv, (ri, rj)),
-                      shape=(trace_rows.shape[0], dofmap.n_free)).tocsr()
+    T = trace_rows.tocoo()
+    ri, rj, rv = [T.row], [g2f[cache.skeleton_fine[T.col]]], [T.data]
+    cell_ids = np.concatenate([np.empty(0, dtype=np.int64), *support_cells])
+    row_ids = np.repeat(np.arange(T.shape[0]), list(map(len, support_cells)))
+    order = np.argsort(cell_ids, kind="stable")
+    cells, starts = np.unique(cell_ids[order], return_index=True)
+    for j, rows in zip(cells.tolist(), np.split(row_ids[order], starts[1:])):
+        data = cache.cells[j]
+        block = trace_rows[rows][:, cache.slot_of_node[data.trace]].toarray().T
+        ext = harmonic_extension(cache, j, block)[~data.trace_mask]
+        ri.append(np.broadcast_to(rows, ext.shape).ravel())
+        rj.append(np.broadcast_to(g2f[data.interior][:, None], ext.shape).ravel())
+        rv.append(ext.ravel())
+    ri, rj, rv = np.concatenate(ri), np.concatenate(rj), np.concatenate(rv)
+    keep = (rj >= 0) & (rv != 0.0)
+    return coo_matrix((rv[keep], (ri[keep], rj[keep])),
+                      shape=(T.shape[0], system.dofmap.n_free)).tocsr()
 
 
 def _build_lift(mesh, system, skeleton, p, cache):
@@ -465,15 +453,3 @@ def relative_dim(space, partition):
         return space.dim / ((partition.nx + 1) * (partition.ny + 1))
     return space.dim / partition.n_cells
 
-
-def save_coarse_space(space, stem, partition=None):
-    """Write the restriction matrix (Matrix Market) and a JSON summary."""
-    stem = str(stem)
-    save_matrix_market(stem + "_R.mtx", space.R)
-    summary = {"kind": space.kind, "p": space.p, "r": space.r, "dim": space.dim,
-               "relative_dim": (relative_dim(space, partition)
-                                if partition is not None else None)}
-    with open(stem + "_summary.json", "w") as f:
-        json.dump(summary, f, indent=1)
-        f.write("\n")
-    return summary

@@ -21,15 +21,6 @@ class DisconnectedDomain(GeometryError):
     """The perforated domain splits into several mesh components."""
 
 
-class ParseError(ValueError):
-    """Malformed mesh file; carries the offending line number."""
-
-    def __init__(self, path, lineno, message):
-        super().__init__("%s:%d: %s" % (path, lineno, message))
-        self.path = str(path)
-        self.lineno = lineno
-
-
 class NonConformingMesh(ValueError):
     """A triangle does not sit inside a single coarse cell."""
 

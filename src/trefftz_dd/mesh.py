@@ -4,14 +4,14 @@ Fine meshes are structured right-triangle grids (every grid square split
 along its lower-left to upper-right diagonal), optionally graded toward
 points of interest by longest-edge bisection.  Triangles carry the index of
 the coarse cell containing them; meshes are conforming to the coarse
-partition by construction and loaded meshes are checked for it.
+partition by construction, and `assign_cells` checks conformity when it
+labels a mesh's triangles with the cells of another partition.
 
 Boundary edges are stored as canonical (min, max) node pairs with a marker:
 DIRICHLET (1) on the outer rectangle, NEUMANN (2) on perforation walls.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import (
     DisconnectedDomain,
     GeometryNotSnapped,
     NonConformingMesh,
-    ParseError,
     PitchMismatch,
 )
 
@@ -209,145 +208,6 @@ def assign_cells(points, triangles, partition):
     if bad.any():
         raise NonConformingMesh(int(np.argmax(bad)))
     return (iy * partition.nx + ix).astype(np.int32)
-
-
-# ---------------------------------------------------------------------------
-# Triangle-format files (.node / .ele / .poly)
-
-def save_triangle(mesh, stem):
-    """Write stem.node, stem.ele and stem.poly (1-based indices)."""
-    stem = str(stem)
-    node_marker = np.zeros(mesh.n_points, dtype=int)
-    for val in (NEUMANN, DIRICHLET):  # Dirichlet wins at corners
-        sel = mesh.boundary_marker == val
-        node_marker[mesh.boundary_edges[sel].ravel()] = val
-    with open(stem + ".node", "w") as f:
-        f.write("%d 2 0 1\n" % mesh.n_points)
-        for i, (x, y) in enumerate(mesh.points):
-            f.write("%d %.17g %.17g %d\n" % (i + 1, x, y, node_marker[i]))
-    with open(stem + ".ele", "w") as f:
-        f.write("%d 3 1\n" % mesh.n_triangles)
-        for t, (a, b, c) in enumerate(mesh.triangles):
-            f.write("%d %d %d %d %d\n" % (t + 1, a + 1, b + 1, c + 1, mesh.cell_of_triangle[t]))
-    with open(stem + ".poly", "w") as f:
-        f.write("0 2 0 1\n")
-        f.write("%d 1\n" % len(mesh.boundary_edges))
-        for k, (a, b) in enumerate(mesh.boundary_edges):
-            f.write("%d %d %d %d\n" % (k + 1, a + 1, b + 1, mesh.boundary_marker[k]))
-        f.write("0\n")
-
-
-def _data_lines(path):
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if body:
-                out.append((lineno, body.split()))
-    if not out:
-        raise ParseError(path, 1, "empty file")
-    return out
-
-
-def load_triangle(stem, partition=None):
-    """Read a mesh written in Triangle's .node/.ele(/.poly) format.
-
-    Vertex numbering may start at 0 or 1 (autodetected).  Boundary markers
-    come from the .poly segments when present; boundary edges without a
-    marker default to Dirichlet.  When `partition` is given, triangles are
-    assigned to coarse cells by centroid and checked for conformity;
-    otherwise the .ele attribute column is used (0 when absent).
-    """
-    stem = str(stem)
-    npath, epath = stem + ".node", stem + ".ele"
-
-    lines = _data_lines(npath)
-    lineno, head = lines[0]
-    try:
-        n, dim = int(head[0]), int(head[1])
-    except (ValueError, IndexError):
-        raise ParseError(npath, lineno, "malformed node header %r" % " ".join(head))
-    if dim != 2:
-        raise ParseError(npath, lineno, "expected 2-d points, got dimension %d" % dim)
-    if len(lines) != n + 1:
-        raise ParseError(npath, lines[-1][0], "expected %d point rows, found %d"
-                         % (n, len(lines) - 1))
-    base = int(lines[1][1][0])
-    if base not in (0, 1):
-        raise ParseError(npath, lines[1][0], "vertex numbering must start at 0 or 1")
-    points = np.empty((n, 2))
-    for k, (lineno, tok) in enumerate(lines[1:]):
-        try:
-            idx = int(tok[0]) - base
-            points[idx] = (float(tok[1]), float(tok[2]))
-        except (ValueError, IndexError):
-            raise ParseError(npath, lineno, "malformed point row %r" % " ".join(tok))
-        if idx != k:
-            raise ParseError(npath, lineno, "point ids must be consecutive")
-
-    lines = _data_lines(epath)
-    lineno, head = lines[0]
-    try:
-        m, per, nattr = int(head[0]), int(head[1]), int(head[2]) if len(head) > 2 else 0
-    except ValueError:
-        raise ParseError(epath, lineno, "malformed element header %r" % " ".join(head))
-    if per != 3:
-        raise ParseError(epath, lineno, "expected 3 nodes per triangle, got %d" % per)
-    if len(lines) != m + 1:
-        raise ParseError(epath, lines[-1][0], "expected %d element rows, found %d"
-                         % (m, len(lines) - 1))
-    tris = np.empty((m, 3), dtype=np.int32)
-    attrs = np.zeros(m, dtype=np.int32)
-    for k, (lineno, tok) in enumerate(lines[1:]):
-        try:
-            tris[k] = [int(t) - base for t in tok[1:4]]
-            if nattr:
-                attrs[k] = int(float(tok[4]))
-        except (ValueError, IndexError):
-            raise ParseError(epath, lineno, "malformed element row %r" % " ".join(tok))
-    if tris.min() < 0 or tris.max() >= n:
-        raise ParseError(epath, 1, "element vertex index out of range")
-
-    area = signed_areas(points, tris)
-    flip = area < 0
-    tris[flip] = tris[flip][:, ::-1]
-    h = max_edge_length(points, tris)
-    bad = np.flatnonzero(np.abs(area) < 1e-14 * h * h)
-    if len(bad):
-        raise DegenerateTriangle(int(bad[0]))
-
-    bpairs = _boundary_pairs(tris).astype(np.int32)
-    marker = np.full(len(bpairs), DIRICHLET, dtype=np.int8)
-    ppath = stem + ".poly"
-    if os.path.exists(ppath):
-        lines = _data_lines(ppath)
-        lineno, head = lines[0]
-        try:
-            inline = int(head[0])
-        except ValueError:
-            raise ParseError(ppath, lineno, "malformed poly header %r" % " ".join(head))
-        pos = 1 + inline  # skip inline vertex rows, vertices live in .node
-        lineno, head = lines[pos]
-        try:
-            nseg = int(head[0])
-            has_mark = len(head) > 1 and int(head[1]) == 1
-        except (ValueError, IndexError):
-            raise ParseError(ppath, lineno, "malformed segment header %r" % " ".join(head))
-        seg_marker = {}
-        for lineno, tok in lines[pos + 1:pos + 1 + nseg]:
-            try:
-                a, b = int(tok[1]) - base, int(tok[2]) - base
-                seg_marker[(min(a, b), max(a, b))] = int(tok[3]) if has_mark and len(tok) > 3 else DIRICHLET
-            except (ValueError, IndexError):
-                raise ParseError(ppath, lineno, "malformed segment row %r" % " ".join(tok))
-        for k, (a, b) in enumerate(bpairs):
-            marker[k] = seg_marker.get((int(a), int(b)), DIRICHLET)
-
-    if partition is not None:
-        cells = assign_cells(points, tris, partition)
-    else:
-        cells = attrs
-    return Triangulation(points, tris, cells, bpairs, marker, h)
 
 
 # ---------------------------------------------------------------------------

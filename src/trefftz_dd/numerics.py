@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import mmread, mmwrite
 from scipy.linalg import solve_triangular
-from scipy.sparse import csc_matrix, issparse
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DimMismatch, NotPositiveDefinite
@@ -173,12 +172,3 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
     info["pre_res"] = np.asarray(pre_res)
     return x, info
 
-
-def save_matrix_market(path, A, comment=""):
-    """Write a sparse matrix or dense vector in Matrix Market format."""
-    mmwrite(str(path), A if not issparse(A) else A.tocoo(), comment=comment)
-
-
-def load_matrix_market(path):
-    A = mmread(str(path))
-    return A.tocsr() if issparse(A) else np.asarray(A)

@@ -6,26 +6,37 @@ of constants (and of linears on unperforated domains), discrete harmonicity
 of every basis function, and the partition-of-unity identity of the gluing
 weights.
 """
-import json
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse import coo_matrix
 
+from test_acceptance import _small_instance
 from trefftz_dd.errors import GluingMismatch, NodeOffSkeleton, RankDeficient
 from trefftz_dd.fem import assemble, solve_fine
-from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect, build_skeleton, refine_edges
+from trefftz_dd.geometry import (
+    CoarsePartition,
+    PerforatedDomain,
+    Rect,
+    build_skeleton,
+    refine_edges,
+    snap,
+)
 from trefftz_dd.coarse import (
+    _AxisBuckets,
+    _extend_rows,
     build_cell_cache,
     build_nicolaides,
     build_trace_basis,
     build_trefftz,
     coarse_approximation,
     harmonic_extension,
-    save_coarse_space,
+    relative_dim,
     schur_split,
 )
-from trefftz_dd.mesh import build_dofmap, build_overlap, generate_structured
-from trefftz_dd.numerics import load_matrix_market
+from trefftz_dd.mesh import build_dofmap, build_overlap, generate_structured, refine_toward
 
 
 def lshape_setup(pitch=1.0 / 12.0, n=3, f=None, g=None):
@@ -49,10 +60,13 @@ def square_setup(pitch=1.0 / 8.0, n=2, f=None, g=None):
 
 
 def test_dimension_formulas():
-    _, _, mesh, system, skel = lshape_setup()
+    _, part, mesh, system, skel = lshape_setup()
     cache = build_cell_cache(mesh, system, skel)
     assert build_trace_basis(mesh, skel, 1, cache).dim == 5
     assert build_trace_basis(mesh, skel, 2, cache).dim == 15
+    space = build_trefftz(mesh, system, skel, 2, cache)
+    assert (space.kind, space.p, space.r, space.dim) == ("trefftz", 2, 0, 15)
+    assert relative_dim(space, part) == 15 / 16
     for r in (1, 2):
         ref = refine_edges(skel, r)
         assert build_trace_basis(mesh, ref, 1, cache).dim == 5 + 10 * (2 ** r - 1)
@@ -273,14 +287,134 @@ def test_node_off_skeleton():
         build_trace_basis(mesh, ref, 1, cache)
 
 
-def test_save_coarse_space(tmp_path):
-    _, part, mesh, system, skel = lshape_setup()
-    space = build_trefftz(mesh, system, skel, 2)
-    summary = save_coarse_space(space, tmp_path / "coarse", part)
-    assert summary == {"kind": "trefftz", "p": 2, "r": 0, "dim": 15,
-                       "relative_dim": 15 / 16}
-    on_disk = json.loads((tmp_path / "coarse_summary.json").read_text())
-    assert on_disk == summary
-    R = load_matrix_market(tmp_path / "coarse_R.mtx")
-    assert R.shape == (space.dim, system.dofmap.n_free)
-    assert abs(R - space.R).max() == 0.0
+def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
+    """Row-by-row gluing: one harmonic extension per (row, cell), checking
+    on every write that no node is interior to two cells and that cells
+    agree on shared trace nodes."""
+    dofmap = system.dofmap
+    ri, rj, rv = [], [], []
+    phi = np.zeros(mesh.n_points)
+    written = np.zeros(mesh.n_points, dtype=np.int8)
+    for row in range(trace_rows.shape[0]):
+        tr = np.asarray(trace_rows[row].todense()).ravel()
+        touched = []
+        for j in support_cells[row]:
+            data = cache.cells[j]
+            ext = harmonic_extension(cache, j, tr[cache.slot_of_node[data.trace]])
+            for nodes, piece, flag in ((data.trace, ext[data.trace_mask], 1),
+                                       (data.interior, ext[~data.trace_mask], 2)):
+                prev = written[nodes]
+                if flag == 2 and (prev == 2).any():
+                    raise GluingMismatch("interior node written by two cells")
+                mism = prev > 0
+                if mism.any() and np.abs(phi[nodes[mism]] - piece[mism]).max() > 1e-9:
+                    raise GluingMismatch("cell extensions disagree on the skeleton")
+                phi[nodes] = piece
+                written[nodes] = flag
+            touched.append(data.nodes)
+        if touched:
+            nodes = np.unique(np.concatenate(touched))
+            free = dofmap.global_to_free[nodes]
+            sel = free >= 0
+            vals = phi[nodes[sel]]
+            nz = vals != 0.0
+            ri.extend([row] * int(nz.sum()))
+            rj.extend(free[sel][nz].tolist())
+            rv.extend(vals[nz].tolist())
+            phi[nodes] = 0.0
+            written[nodes] = 0
+    return coo_matrix((rv, (ri, rj)),
+                      shape=(trace_rows.shape[0], dofmap.n_free)).tocsr()
+
+
+def _buckets_reference(points):
+    """Scalar-snap grouping: {snap(x): (ys ascending, ids)} and the same by y."""
+    groups = ({}, {})
+    for i, xy in enumerate(points.tolist()):
+        for axis in (0, 1):
+            groups[axis].setdefault(snap(xy[axis]), []).append(i)
+    out = []
+    for axis, group in enumerate(groups):
+        packed = {}
+        for key, ids in group.items():
+            ids = np.asarray(ids)
+            ids = ids[np.argsort(points[ids, 1 - axis], kind="stable")]
+            packed[key] = (points[ids, 1 - axis], ids)
+        out.append(packed)
+    return out
+
+
+def _assert_buckets_match(points):
+    buckets = _AxisBuckets(points)
+    for got, want in zip((buckets.by_x, buckets.by_y), _buckets_reference(points)):
+        assert got.keys() == want.keys()
+        for key, (coords, ids) in want.items():
+            assert np.array_equal(got[key][0], coords)
+            assert np.array_equal(got[key][1], ids)
+
+
+def _assert_rows_match_reference(mesh, system, cache, skel, p):
+    basis = build_trace_basis(mesh, skel, p, cache)
+    R = _extend_rows(mesh, system, cache, basis.T, basis.support_cells)
+    want = _extend_rows_reference(mesh, system, cache, basis.T, basis.support_cells)
+    for name in ("indptr", "indices"):
+        got_a, want_a = getattr(R, name), getattr(want, name)
+        assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes(), name
+    # SuperLU solves several right-hand sides with BLAS-3 kernels, which may
+    # sum in another order than one right-hand side at a time: on the pitch
+    # 1/192 graded L-shape a few entries move by up to 5 ulps
+    assert R.data.dtype == want.data.dtype
+    tol = 64 * np.finfo(float).eps * np.abs(want.data).max()
+    assert np.abs(R.data - want.data).max() <= tol
+    # every basis function is discrete-harmonic off the skeleton
+    AR = np.abs((system.A @ R.T).toarray())
+    off_skeleton = np.ones(mesh.n_points, dtype=bool)
+    off_skeleton[cache.skeleton_fine] = False
+    rows = off_skeleton[system.dofmap.free_nodes]
+    bound = 1e-9 * abs(system.A).max() * np.abs(R.toarray()).max(axis=1)
+    assert (AR[rows] <= bound).all()
+
+
+@given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((2, 4)),
+       ny=st.sampled_from((2, 4)), p=st.sampled_from((1, 2)))
+def test_extend_rows_matches_row_loop_on_urban(seed, nx, ny, p):
+    domain, part, mesh = _small_instance(seed, nx, ny)
+    system = assemble(mesh)
+    skel = build_skeleton(domain, part)
+    cache = build_cell_cache(mesh, system, skel)
+    _assert_rows_match_reference(mesh, system, cache, skel, p)
+    _assert_buckets_match(mesh.points)
+
+
+def test_extend_rows_matches_row_loop_on_graded_lshape():
+    domain, part, mesh, _, skel = lshape_setup(pitch=1.0 / 12.0)
+    mesh = refine_toward(mesh, np.array([[0.0, 0.0]]), 3)
+    system = assemble(mesh)
+    cache = build_cell_cache(mesh, system, skel)
+    for p in (1, 2):
+        _assert_rows_match_reference(mesh, system, cache, refine_edges(skel, 2), p)
+    _assert_buckets_match(mesh.points)
+
+
+def test_buckets_merge_values_that_snap_alike():
+    # 0.1 + 0.2 and 0.3 differ in the last bit but snap to one key
+    xs = np.array([0.1 + 0.2, 0.3, 0.3, 0.1 + 0.2, 0.7])
+    points = np.column_stack([xs, [2.0, 1.0, 2.0, 0.0, 1.0]])
+    assert len(np.unique(xs)) == 3
+    _assert_buckets_match(points)
+    assert np.array_equal(_AxisBuckets(points).by_x[snap(0.3)][1], [3, 1, 0, 2])
+
+
+def test_interior_node_shared_by_two_cells_raises():
+    _, _, mesh, system, skel = square_setup()
+    # move the cell-0 triangle with vertices (3/8, 1/4), (1/2, 1/4), (1/2, 3/8),
+    # which has an edge on the interface x = 1/2, into cell 1: its vertex
+    # (3/8, 1/4) is then interior to both cells
+    centroid = mesh.points[mesh.triangles].mean(axis=1)
+    t = np.argmin(np.hypot(centroid[:, 0] - 11 / 24, centroid[:, 1] - 7 / 24))
+    assert mesh.cell_of_triangle[t] == 0
+    cells = mesh.cell_of_triangle.copy()
+    cells[t] = 1
+    bad = dataclasses.replace(mesh, cell_of_triangle=cells)
+    with pytest.raises(GluingMismatch):
+        build_trefftz(bad, system, skel, 1)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from trefftz_dd.errors import MeshNotNested
+from trefftz_dd.errors import DegenerateTriangle, MeshNotNested
 from trefftz_dd.fem import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
@@ -22,7 +22,7 @@ from trefftz_dd.fem import (
     stiffness_matrix,
 )
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
-from trefftz_dd.mesh import build_dofmap, generate_structured, red_refine
+from trefftz_dd.mesh import DIRICHLET, Triangulation, build_dofmap, generate_structured, red_refine
 
 
 def unit_square_mesh(pitch, nx=1, ny=1):
@@ -100,6 +100,18 @@ def test_patch_test_linear_exactness():
     lsys = assemble(lmesh, f=None, g=lambda pts: np.full(len(pts), 2.5))
     ul = solve_fine(lsys)
     assert np.abs(ul - 2.5).max() < 1e-11
+
+
+def test_degenerate_triangle_rejected():
+    # triangle 1 has three collinear vertices on y = 0
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3]], dtype=np.int32)
+    bedges = np.array([[0, 2], [0, 3], [1, 2], [1, 3]], dtype=np.int32)
+    mesh = Triangulation(points, tris, np.zeros(2, dtype=np.int32), bedges,
+                         np.full(4, DIRICHLET, dtype=np.int8), 2.0)
+    with pytest.raises(DegenerateTriangle) as exc:
+        assemble(mesh)
+    assert exc.value.tri_index == 1
 
 
 def test_manufactured_convergence_rates():

@@ -10,11 +10,9 @@ import pytest
 
 from trefftz_dd import mesh as mesh_module
 from trefftz_dd.errors import (
-    DegenerateTriangle,
     DisconnectedDomain,
     GeometryNotSnapped,
     NonConformingMesh,
-    ParseError,
     PitchMismatch,
 )
 from trefftz_dd.experiments import generate_urban_synthetic
@@ -24,14 +22,13 @@ from trefftz_dd.mesh import (
     NEUMANN,
     _boundary_pairs,
     _near_targets,
+    assign_cells,
     build_dofmap,
     build_overlap,
     connected_components,
     generate_structured,
-    load_triangle,
     red_refine,
     refine_toward,
-    save_triangle,
     signed_areas,
 )
 
@@ -121,83 +118,22 @@ def test_disconnected_domain_detected():
         generate_structured(domain, CoarsePartition(outer, 3, 1), 0.25)
 
 
-def test_triangle_roundtrip(tmp_path):
-    domain, part = lshape()
-    mesh = generate_structured(domain, part, 1.0 / 6.0)
-    stem = tmp_path / "lshape"
-    save_triangle(mesh, stem)
-    back = load_triangle(stem)
-    assert np.array_equal(back.points, mesh.points)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.cell_of_triangle, mesh.cell_of_triangle)
-    pairs = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1)}
-    assert {tuple(e) for e in back.boundary_edges} == pairs
-    for e, mk in zip(back.boundary_edges, back.boundary_marker):
-        k = np.flatnonzero((np.sort(mesh.boundary_edges, axis=1) == e).all(axis=1))[0]
-        assert mk == mesh.boundary_marker[k]
-
-
-def test_load_zero_based(tmp_path):
-    stem = tmp_path / "tiny"
-    with open(str(stem) + ".node", "w") as f:
-        f.write("4 2 0 0\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n")
-    with open(str(stem) + ".ele", "w") as f:
-        f.write("2 3 0\n0 0 1 2\n1 0 2 3\n")
-    mesh = load_triangle(stem)
-    assert mesh.n_points == 4 and mesh.n_triangles == 2
-    assert (signed_areas(mesh.points, mesh.triangles) > 0).all()
-    assert (mesh.boundary_marker == DIRICHLET).all()  # no .poly: everything Dirichlet
-
-
-def test_load_fixes_orientation_and_rejects_degenerate(tmp_path):
-    stem = tmp_path / "cw"
-    with open(str(stem) + ".node", "w") as f:
-        f.write("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
-    with open(str(stem) + ".ele", "w") as f:
-        f.write("1 3 0\n1 1 3 2\n")  # clockwise on purpose
-    mesh = load_triangle(stem)
-    assert signed_areas(mesh.points, mesh.triangles)[0] > 0
-
-    stem = tmp_path / "degen"
-    with open(str(stem) + ".node", "w") as f:
-        f.write("3 2 0 0\n1 0 0\n2 1 0\n3 2 0\n")  # collinear
-    with open(str(stem) + ".ele", "w") as f:
-        f.write("1 3 0\n1 1 2 3\n")
-    with pytest.raises(DegenerateTriangle):
-        load_triangle(stem)
-
-
-def test_parse_errors(tmp_path):
-    stem = tmp_path / "bad"
-    with open(str(stem) + ".node", "w") as f:
-        f.write("3 2 0 0\n1 0 0\n2 1 0\n")  # one row short
-    with open(str(stem) + ".ele", "w") as f:
-        f.write("1 3 0\n1 1 2 3\n")
-    with pytest.raises(ParseError) as exc:
-        load_triangle(stem)
-    assert exc.value.path.endswith(".node")
-    assert exc.value.lineno >= 1
-
-
-def test_conformity_check_on_load(tmp_path):
+def test_conformity_check_on_load():
     domain, part = unit_square()
     mesh = generate_structured(domain, part, 0.5)
-    stem = tmp_path / "sq"
-    save_triangle(mesh, stem)
     # pitch-1/2 triangles straddle the cells of a 3x3 partition
     with pytest.raises(NonConformingMesh) as exc:
-        load_triangle(stem, partition=CoarsePartition(domain.outer, 3, 3))
+        assign_cells(mesh.points, mesh.triangles, CoarsePartition(domain.outer, 3, 3))
     assert exc.value.tri_index == 0
     # the smallest offending index is reported: at pitch 1/4, triangles 0
     # and 1 fit the lower-left third, triangle 2 crosses x = 1/3
-    save_triangle(generate_structured(domain, part, 0.25), stem)
+    fine = generate_structured(domain, part, 0.25)
     with pytest.raises(NonConformingMesh) as exc:
-        load_triangle(stem, partition=CoarsePartition(domain.outer, 3, 3))
+        assign_cells(fine.points, fine.triangles, CoarsePartition(domain.outer, 3, 3))
     assert exc.value.tri_index == 2
-    save_triangle(mesh, stem)
     # but conform to the 2x2 partition
-    back = load_triangle(stem, partition=CoarsePartition(domain.outer, 2, 2))
-    assert set(np.unique(back.cell_of_triangle)) == {0, 1, 2, 3}
+    cells = assign_cells(mesh.points, mesh.triangles, CoarsePartition(domain.outer, 2, 2))
+    assert set(np.unique(cells)) == {0, 1, 2, 3}
 
 
 def test_refine_toward_grades_and_conforms():

@@ -4,13 +4,7 @@ import pytest
 from scipy.sparse import csr_matrix, diags, random as sparse_random
 
 from trefftz_dd.errors import DimMismatch, NotPositiveDefinite
-from trefftz_dd.numerics import (
-    Factorization,
-    GmresOptions,
-    gmres,
-    load_matrix_market,
-    save_matrix_market,
-)
+from trefftz_dd.numerics import Factorization, GmresOptions, gmres
 
 
 def random_spd(rng, n, density=0.3):
@@ -125,15 +119,3 @@ def test_gmres_zero_rhs():
     x, info = gmres(lambda v: v, lambda v: v, np.zeros(7), GmresOptions())
     assert info["converged"] and np.array_equal(x, np.zeros(7))
 
-
-def test_matrix_market_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    A = random_spd(rng, 12)
-    path = tmp_path / "A.mtx"
-    save_matrix_market(path, A)
-    B = load_matrix_market(path)
-    assert np.allclose(A.toarray(), B.toarray(), atol=0, rtol=0)
-    v = rng.standard_normal(12)
-    save_matrix_market(tmp_path / "v.mtx", v.reshape(-1, 1))
-    w = load_matrix_market(tmp_path / "v.mtx")
-    assert np.allclose(w.ravel(), v, atol=0, rtol=0)
