@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse import coo_matrix, csr_matrix, diags, identity
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import (
@@ -429,7 +429,13 @@ class Overlap:
 def build_overlap(mesh, dofmap, layers, n_cells=None):
     """Grow each coarse cell by `layers` rings of node-connected triangles.
 
-    `layers` may be a single int or a per-cell sequence.
+    `layers` may be a single int or a per-cell sequence.  All cells grow at
+    once: the rows of an n_cells x n_triangles indicator T start as the
+    cells' triangles, and each ring replaces T by the support of
+    T (triangle -> node) (node -> triangle), on the rows whose own layer
+    count is not yet reached.  Row j of T gives tri_sets[j]; row j of T
+    (triangle -> free dof) gives dof_sets[j], sorted, with the Dirichlet
+    nodes dropped.  Cells without triangles give empty sets.
     """
     if n_cells is None:
         n_cells = int(mesh.cell_of_triangle.max()) + 1
@@ -437,6 +443,7 @@ def build_overlap(mesh, dofmap, layers, n_cells=None):
         layers = [int(layers)] * n_cells
     elif len(layers) != n_cells:
         raise ValueError("expected %d per-cell layer counts, got %d" % (n_cells, len(layers)))
+    layers = np.asarray(layers, dtype=np.int64)
 
     m = mesh.n_triangles
     rows = np.repeat(np.arange(m), 3)
@@ -445,22 +452,17 @@ def build_overlap(mesh, dofmap, layers, n_cells=None):
                           shape=(m, mesh.n_points))
     node_tri = tri_node.T.tocsr()
 
-    dof_sets, tri_sets = [], []
-    mult = np.zeros(dofmap.n_free, dtype=np.int64)
-    for j in range(n_cells):
-        tri_mask = (mesh.cell_of_triangle == j).astype(np.int8)
-        for _ in range(layers[j]):
-            if not tri_mask.any():
-                break
-            node_mask = (node_tri @ tri_mask > 0).astype(np.int8)
-            tri_mask = (tri_node @ node_mask > 0).astype(np.int8)
-        tri_ids = np.flatnonzero(tri_mask)
-        nodes = np.unique(mesh.triangles[tri_ids])
-        dofs = dofmap.global_to_free[nodes]
-        dofs = np.sort(dofs[dofs >= 0])
-        dof_sets.append(dofs)
-        tri_sets.append(tri_ids)
-        mult[dofs] += 1
+    T = csr_matrix((np.ones(m, dtype=np.int32), (mesh.cell_of_triangle, np.arange(m))),
+                   shape=(n_cells, m))
+    for k in range(int(layers.max(initial=0))):
+        growing = diags(layers > k, dtype=np.int32)
+        T = ((T + growing @ T @ tri_node @ node_tri) > 0).astype(np.int32)
+    dofs = T @ tri_node[:, dofmap.free_nodes]
+    T.sort_indices()
+    dofs.sort_indices()
+    tri_sets = np.split(T.indices.astype(np.int64), T.indptr[1:-1])
+    dof_sets = np.split(dofs.indices.astype(np.int64), dofs.indptr[1:-1])
+    mult = np.bincount(dofs.indices, minlength=dofmap.n_free)
     return Overlap(dof_sets, tri_sets, mult)
 
 

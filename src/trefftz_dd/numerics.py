@@ -102,10 +102,7 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
 
     def current(V, H, g, j, base):
         y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1], lower=False)
-        xk = base.copy()
-        for i in range(j + 1):
-            xk += y[i] * V[i]
-        return xk
+        return base + y @ V[:j + 1]
 
     total = 0
     stop = False
@@ -116,7 +113,9 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
             info["converged"] = True
             break
         m = min(opts.restart, opts.max_iters - total)
-        V = [r / beta]
+        # rows are written one by one, so untouched pages are never mapped
+        V = np.empty((m + 1, n))
+        V[0] = r / beta
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -132,7 +131,7 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
             H[j + 1, j] = float(np.linalg.norm(w))
             lucky = H[j + 1, j] < BREAKDOWN
             if not lucky:
-                V.append(w / H[j + 1, j])
+                V[j + 1] = w / H[j + 1, j]
             for i in range(j):  # apply stored rotations to the new column
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]

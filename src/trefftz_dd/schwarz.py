@@ -11,6 +11,7 @@ point does not converge).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .coarse import CoarseSpace, coarse_approximation
 from .errors import Divergence
@@ -23,36 +24,49 @@ REPORT_COLUMNS = "iter,res_norm,alg_err_L2,alg_err_H1,full_err_L2,full_err_H1"
 
 @dataclass
 class SchwarzContext:
-    """Factorized subdomain problems plus partition-of-unity weights."""
+    """The subdomain problems of an overlap, stacked into one system.
+
+    `gather` concatenates the overlap's free-dof sets, subdomain after
+    subdomain (G r = r[gather]); `weights` holds 1/multiplicity on each
+    stacked entry.  `facts` is a list holding the one factorization of the
+    block-diagonal matrix diag(A_j'); it stays a list, not a single
+    Factorization, because `benchmarks/workloads.py` sums the SuperLU fill
+    over the entries of `ctx.facts`.
+    """
     system: AssembledSystem
-    dof_sets: list                  # free-dof indices per subdomain
-    facts: list                     # Factorization per subdomain (None if empty)
-    weights: list                   # 1/multiplicity on each subdomain's dofs
+    gather: np.ndarray              # stacked free-dof indices, int64
+    weights: np.ndarray             # 1/multiplicity per stacked entry
+    facts: list                     # [Factorization of diag(A_j')]
     coarse: CoarseSpace | None = None
 
 
 def build_schwarz(system, overlap, coarse=None):
-    """Factorize the local operators A_j' = R_j' A R_j'^T for each subdomain."""
-    A = system.A
-    facts, weights = [], []
-    for idx in overlap.dof_sets:
-        if len(idx) == 0:
-            facts.append(None)
-            weights.append(np.zeros(0))
-            continue
-        local = A[idx][:, idx]
-        facts.append(Factorization(local, check_symmetry=False))
-        weights.append(1.0 / overlap.multiplicity[idx])
-    return SchwarzContext(system, list(overlap.dof_sets), facts, weights, coarse)
+    """Factorize the local operators A_j' = R_j' A R_j'^T as one stacked matrix.
+
+    With G the gather matrix of the concatenated subdomain dof sets, G A G^T
+    holds A_j' in its diagonal blocks; entries coupling two subdomains are
+    dropped, and the block-diagonal rest is factorized once.  Empty
+    subdomains contribute no rows.
+    """
+    gather = np.concatenate(overlap.dof_sets)
+    block = np.repeat(np.arange(overlap.n_subdomains), [len(d) for d in overlap.dof_sets])
+    n_stack, n = len(gather), system.dofmap.n_free
+    G = csr_matrix((np.ones(n_stack), (np.arange(n_stack), gather)), shape=(n_stack, n))
+    GAG = (G @ system.A @ G.T).tocoo()
+    keep = block[GAG.row] == block[GAG.col]
+    local = csc_matrix((GAG.data[keep], (GAG.row[keep], GAG.col[keep])),
+                       shape=(n_stack, n_stack))
+    fact = Factorization(local, check_symmetry=False)
+    return SchwarzContext(system, gather, 1.0 / overlap.multiplicity[gather], [fact],
+                          coarse)
 
 
 def apply_ras(ctx, r):
-    """z = sum_j R_j'^T D_j (A_j')^{-1} R_j' r, accumulated in subdomain order."""
-    z = np.zeros_like(r)
-    for idx, fact, w in zip(ctx.dof_sets, ctx.facts, ctx.weights):
-        if fact is not None:
-            z[idx] += w * fact.solve(r[idx])
-    return z
+    """z = sum_j R_j'^T D_j (A_j')^{-1} R_j' r = G^T (w * LU^{-1} (G r)).
+
+    The scatter adds the subdomain pieces in subdomain order."""
+    z = ctx.weights * ctx.facts[0].solve(r[ctx.gather])
+    return np.bincount(ctx.gather, weights=z, minlength=len(r))
 
 
 def apply_two_level(ctx, r):
@@ -104,12 +118,16 @@ class IterationReport:
 
     Rows hold (iteration, relative residual, algebraic L2/H1 error, full
     L2/H1 error); error columns are nan when no monitor / exact solution
-    was available.
+    was available.  `stop` says why the run ended: "tol" (preconditioned
+    residual tolerance), "error_tol" (algebraic L2 error tolerance),
+    "plateau", "breakdown", "stagnation", "max_iters" or "divergence".  It
+    is not written to the history CSVs.
     """
     method: str
     rows: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    stop: str | None = None
 
     def column(self, name):
         i = REPORT_COLUMNS.split(",").index(name)
@@ -138,27 +156,29 @@ def hybrid_iterate(ctx, monitor, u0=None, tol=None, max_iters=200):
     report = IterationReport("hybrid")
 
     def push(k):
-        res = np.linalg.norm(f - A @ u) / f_norm
+        """Record iterate k; return its residual f - A u and algebraic L2 error."""
+        res = f - A @ u
         errs = monitor.record(system.expand(u))
-        report.rows.append((k,) + (res,) + errs)
-        return errs[0]
+        report.rows.append((k, np.linalg.norm(res) / f_norm) + errs)
+        return res, errs[0]
 
-    best = push(0)
+    res, best = push(0)
     n = 0
+    report.stop = "max_iters"
     for n in range(1, max_iters + 1):
-        u += apply_ras(ctx, f - A @ u)
+        u += apply_ras(ctx, res)
         u += ctx.coarse.apply(f - A @ u)
-        alg = push(n)
+        res, alg = push(n)
         best = min(best, alg)
         if alg > 1e3 * best and alg > 1e-12:
-            report.iterations = n
+            report.iterations, report.stop = n, "divergence"
             raise Divergence(report)
         if tol is not None:
             if alg <= tol:
-                report.converged = True
+                report.converged, report.stop = True, "error_tol"
                 break
         elif n >= 5 and alg >= 0.99 * report.rows[n - 5][2]:
-            report.converged = True
+            report.converged, report.stop = True, "plateau"
             break
     report.iterations = n
     return system.expand(u), report
@@ -206,4 +226,7 @@ def solve_pgmres(ctx, monitor=None, rel_tol=1e-8, error_tol=None,
                     f, opts, callback=callback)
     report.converged = hit[0] if error_tol is not None else info["converged"]
     report.iterations = info["iterations"]
+    report.stop = ("error_tol" if hit[0] else "breakdown" if info["breakdown"]
+                   else "stagnation" if info["stagnation"]
+                   else "tol" if info["converged"] else "max_iters")
     return system.expand(x), report

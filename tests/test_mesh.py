@@ -7,6 +7,7 @@ Python breadth-first search / union-find reimplementations.
 """
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from trefftz_dd import mesh as mesh_module
 from trefftz_dd.errors import (
@@ -348,6 +349,59 @@ def test_overlap_matches_bfs_oracle():
         assert covered.all()
         # empty cell: no triangles, no dofs
         assert len(ov.tri_sets[8]) == 0 and len(ov.dof_sets[8]) == 0
+
+
+def build_overlap_per_cell(mesh, dofmap, layers, n_cells):
+    """Reference: grow one cell at a time with two SpMVs per layer."""
+    if np.isscalar(layers):
+        layers = [int(layers)] * n_cells
+    m = mesh.n_triangles
+    tri_node = csr_matrix((np.ones(3 * m, dtype=np.int8),
+                           (np.repeat(np.arange(m), 3), mesh.triangles.ravel())),
+                          shape=(m, mesh.n_points))
+    node_tri = tri_node.T.tocsr()
+    dof_sets, tri_sets = [], []
+    mult = np.zeros(dofmap.n_free, dtype=np.int64)
+    for j in range(n_cells):
+        tri_mask = (mesh.cell_of_triangle == j).astype(np.int8)
+        for _ in range(layers[j]):
+            node_mask = (node_tri @ tri_mask > 0).astype(np.int8)
+            tri_mask = (tri_node @ node_mask > 0).astype(np.int8)
+        tri_ids = np.flatnonzero(tri_mask)
+        dofs = dofmap.global_to_free[np.unique(mesh.triangles[tri_ids])]
+        dofs = np.sort(dofs[dofs >= 0])
+        dof_sets.append(dofs)
+        tri_sets.append(tri_ids)
+        mult[dofs] += 1
+    return dof_sets, tri_sets, mult
+
+
+def _lshape_overlap_case():
+    domain, part = lshape()
+    return generate_structured(domain, part, 1.0 / 24.0), part.n_cells
+
+
+def _urban_overlap_case():
+    domain = generate_urban_synthetic(5, extent=32.0, pitch=1.0, n_buildings=3,
+                                      n_walls=1)
+    part = CoarsePartition(domain.outer, 4, 4)
+    return generate_structured(domain, part, 1.0), part.n_cells
+
+
+@pytest.mark.parametrize("case", [_lshape_overlap_case, _urban_overlap_case])
+def test_overlap_matches_per_cell_growth(case):
+    mesh, n_cells = case()
+    dofmap = build_dofmap(mesh)
+    rng = np.random.default_rng(11)
+    # cell 8 of the L-shape has no triangles; n_cells + 1 adds an empty cell
+    for layers, cells in ((0, n_cells), (1, n_cells), (3, n_cells),
+                          (rng.integers(0, 4, n_cells + 1).tolist(), n_cells + 1)):
+        ov = build_overlap(mesh, dofmap, layers, n_cells=cells)
+        dof_sets, tri_sets, mult = build_overlap_per_cell(mesh, dofmap, layers, cells)
+        assert len(ov.dof_sets) == len(ov.tri_sets) == cells
+        for got, want in zip(ov.dof_sets + ov.tri_sets + [ov.multiplicity],
+                             dof_sets + tri_sets + [mult]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_per_cell_layers():

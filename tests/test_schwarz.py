@@ -1,12 +1,17 @@
 """Schwarz solver tests.
 
-Oracles: dense evaluations of the RAS / two-level operator formulas, the
-exact fixed-point property at the fine solution, the closed form of one
-hybrid iteration, and the partition-of-unity identity of the weights.
+Oracles: dense evaluations of the RAS / two-level operator formulas, built
+from the overlap and the global matrix only, the exact fixed-point property
+at the fine solution, the closed form of one hybrid iteration, and the
+partition-of-unity identity of the weights.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from test_acceptance import _small_instance
 from trefftz_dd import fem, schwarz
 from trefftz_dd.coarse import build_trefftz, coarse_approximation
 from trefftz_dd.errors import Divergence, MeshNotNested
@@ -18,7 +23,6 @@ from trefftz_dd.schwarz import (
     REPORT_COLUMNS,
     ErrorMonitor,
     IterationReport,
-    SchwarzContext,
     apply_ras,
     apply_two_level,
     build_schwarz,
@@ -38,14 +42,18 @@ def perforated_square(nx=4, ny=4, pitch=1.0 / 16.0, f=None, g=None):
     return domain, part, mesh, system, skel
 
 
-def dense_ras(ctx):
-    n = ctx.system.dofmap.n_free
+def dense_ras(system, overlap):
+    """sum_j R_j^T D_j (A_j')^{-1} R_j with D_j = 1/multiplicity, from the
+    overlap's dof sets and the global matrix alone."""
+    n = system.dofmap.n_free
+    A = system.A.toarray()
+    mult = np.zeros(n)
+    for idx in overlap.dof_sets:
+        mult[idx] += 1
     M = np.zeros((n, n))
-    for idx, fact, w in zip(ctx.dof_sets, ctx.facts, ctx.weights):
-        if fact is None:
-            continue
-        A_loc = ctx.system.A[idx][:, idx].toarray()
-        M[np.ix_(idx, idx)] += w[:, None] * np.linalg.inv(A_loc)
+    for idx in overlap.dof_sets:
+        if len(idx):
+            M[np.ix_(idx, idx)] += np.linalg.inv(A[np.ix_(idx, idx)]) / mult[idx, None]
     return M
 
 
@@ -59,9 +67,7 @@ def test_weights_form_partition_of_unity():
     for layers in (1, 2, [1, 2, 1, 3] * 4):
         ov = build_overlap(mesh, system.dofmap, layers, n_cells=16)
         ctx = build_schwarz(system, ov)
-        acc = np.zeros(system.dofmap.n_free)
-        for idx, w in zip(ctx.dof_sets, ctx.weights):
-            acc[idx] += w
+        acc = np.bincount(ctx.gather, ctx.weights, system.dofmap.n_free)
         assert np.abs(acc - 1.0).max() <= 1e-15  # every free dof covered, once
 
 
@@ -70,7 +76,7 @@ def test_apply_ras_matches_dense_oracle():
     _, _, mesh, system, _ = perforated_square()
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
     ctx = build_schwarz(system, ov)
-    M = dense_ras(ctx)
+    M = dense_ras(system, ov)
     for _ in range(3):
         r = rng.standard_normal(system.dofmap.n_free)
         z = apply_ras(ctx, r)
@@ -103,12 +109,34 @@ def test_two_level_matches_dense_oracle():
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
     space = build_trefftz(mesh, system, skel, 1)
     ctx = build_schwarz(system, ov, coarse=space)
-    M = dense_ras(ctx) + dense_coarse(space, system.A)
+    M = dense_ras(system, ov) + dense_coarse(space, system.A)
     r = rng.standard_normal(system.dofmap.n_free)
     z = apply_two_level(ctx, r)
     assert np.linalg.norm(z - M @ r) <= 1e-12 * np.linalg.norm(M @ r)
     with pytest.raises(ValueError):
         apply_two_level(build_schwarz(system, ov), r)
+
+
+@given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((2, 4)),
+       ny=st.sampled_from((2, 4)), data=st.data())
+def test_stacked_apply_matches_dense_on_urban(seed, nx, ny, data):
+    # 32 pitches do not divide into 3 cells, so grids are 2 or 4 per axis;
+    # one extra cell without triangles gives an empty subdomain
+    domain, part, mesh = _small_instance(seed, nx, ny)
+    system = assemble(mesh)
+    n_cells = part.n_cells + 1
+    layers = data.draw(st.lists(st.integers(0, 3), min_size=n_cells, max_size=n_cells))
+    ov = build_overlap(mesh, system.dofmap, layers, n_cells=n_cells)
+    assert len(ov.dof_sets[-1]) == 0
+    space = build_trefftz(mesh, system, build_skeleton(domain, part), 1)
+    ctx = build_schwarz(system, ov, coarse=space)
+    n = system.dofmap.n_free
+    assert np.abs(np.bincount(ctx.gather, ctx.weights, n) - 1.0).max() <= 1e-15
+    M_ras = dense_ras(system, ov)
+    M_two = M_ras + dense_coarse(space, system.A)
+    r = np.random.default_rng(seed).standard_normal(n)
+    for got, M in ((apply_ras(ctx, r), M_ras), (apply_two_level(ctx, r), M_two)):
+        assert np.linalg.norm(got - M @ r) <= 1e-12 * np.linalg.norm(M @ r)
 
 
 def test_hybrid_fixed_point_at_fine_solution():
@@ -133,10 +161,11 @@ def test_hybrid_one_iteration_closed_form():
     monitor = ErrorMonitor(mesh, system)
     u1, report = hybrid_iterate(ctx, monitor, max_iters=1)
     assert report.iterations == 1 and not report.converged
+    assert report.stop == "max_iters"
 
     A = system.A.toarray()
     f = system.f
-    M_ras = dense_ras(ctx)
+    M_ras = dense_ras(system, ov)
     M_h = dense_coarse(space, system.A)
     u0 = M_h @ f  # the coarse approximation (homogeneous boundary data)
     u_half = u0 + M_ras @ (f - A @ u0)
@@ -168,13 +197,13 @@ def test_hybrid_converges_and_plateau_stops():
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u, report = hybrid_iterate(ctx, monitor, tol=1e-10, max_iters=200)
-    assert report.converged
+    assert report.converged and report.stop == "error_tol"
     assert report.rows[-1][2] <= 1e-10
     assert report.iterations <= 200
 
     # default stopping: plateau once the error stops improving
     _, rep2 = hybrid_iterate(ctx, monitor, tol=None, max_iters=200)
-    assert rep2.converged and rep2.iterations < 200
+    assert rep2.converged and rep2.stop == "plateau" and rep2.iterations < 200
     assert rep2.rows[-1][2] <= 1e-8  # stalls only at the round-off floor
 
 
@@ -184,12 +213,12 @@ def test_hybrid_divergence_guard():
     space = build_trefftz(mesh, system, skel, 1)
     good = build_schwarz(system, ov, coarse=space)
     # flipped weights turn the RAS sweep into an error amplifier
-    bad = SchwarzContext(system, good.dof_sets, good.facts,
-                         [-w for w in good.weights], coarse=space)
+    bad = dataclasses.replace(good, weights=-good.weights)
     monitor = ErrorMonitor(mesh, system)
     with pytest.raises(Divergence) as err:
         hybrid_iterate(bad, monitor, tol=1e-10, max_iters=100)
     assert err.value.report.rows  # history travels with the error
+    assert err.value.report.stop == "divergence"
 
 
 def test_two_level_beats_one_level():
@@ -202,6 +231,7 @@ def test_two_level_beats_one_level():
     u1, rep1 = solve_pgmres(one, rel_tol=1e-8)
     u2, rep2 = solve_pgmres(two, rel_tol=1e-8)
     assert rep1.converged and rep2.converged
+    assert rep1.stop == rep2.stop == "tol"
     assert rep2.iterations <= rep1.iterations
     u_h = solve_fine(system)
     for u in (u1, u2):
@@ -216,8 +246,11 @@ def test_pgmres_error_tol_stop():
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u, report = solve_pgmres(ctx, monitor, error_tol=1e-6)
-    assert report.converged
+    assert report.converged and report.stop == "error_tol"
     assert report.rows[-1][2] <= 1e-6
+    _, capped = solve_pgmres(ctx, monitor, error_tol=1e-14, max_iters=2)
+    assert not capped.converged and capped.stop == "max_iters"
+    assert capped.iterations == 2
     with pytest.raises(ValueError):
         solve_pgmres(ctx, error_tol=1e-6)
 
