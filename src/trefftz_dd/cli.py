@@ -12,7 +12,7 @@ import sys
 
 import os
 
-from .experiments import (ExperimentConfig, fitted_order,
+from .experiments import (N_VALUES, ExperimentConfig, fitted_order,
                           run_lshape_convergence, run_scalability,
                           run_solver_study)
 
@@ -79,10 +79,9 @@ def build_parser():
     sc = sub.add_parser("scalability",
                         help="iteration counts vs subdomain count (urban)")
     sc.add_argument("--seeds", type=int, nargs="+", default=[1])
-    sc.add_argument("--n-values", type=int, nargs="+", default=None,
-                    help="subdomain counts (perfect squares)")
-    sc.add_argument("--include-1024", action="store_true",
-                    help="extend the default sweep to N=1024")
+    sc.add_argument("--n-values", type=int, nargs="+", default=N_VALUES,
+                    help="subdomain counts (perfect squares; default %s)"
+                    % " ".join(map(str, N_VALUES)))
     sc.add_argument("--extent", type=float, default=640.0)
     sc.add_argument("--pitch", type=float, default=2.5)
     sc.add_argument("--buildings", type=int, default=24)
@@ -149,18 +148,15 @@ def cmd_solve(args):
 
 
 def cmd_scalability(args):
-    n_values = args.n_values
-    if n_values is None:
-        n_values = [4, 16, 64, 256] + ([1024] if args.include_1024 else [])
     code = 0
     for seed in args.seeds:
         outdir = (os.path.join(args.out, "seed%d" % seed)
                   if len(args.seeds) > 1 else args.out)
         rows = run_scalability(seed=seed, outdir=outdir,
-                               n_values=tuple(n_values), extent=args.extent,
-                               pitch=args.pitch, n_buildings=args.buildings,
-                               n_walls=args.walls, tol=args.tol,
-                               max_iters=args.max_iters)
+                               n_values=tuple(args.n_values),
+                               extent=args.extent, pitch=args.pitch,
+                               n_buildings=args.buildings, n_walls=args.walls,
+                               tol=args.tol, max_iters=args.max_iters)
         print("seed %d" % seed)
         print("%-6s %-5s %-8s %-11s %-6s %-10s %-5s %-8s"
               % ("walls", "N", "overlap", "space", "iters", "converged",

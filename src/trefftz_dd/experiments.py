@@ -19,7 +19,8 @@ from .errors import Divergence, PlacementFailure
 from .fem import assemble, error_norms, exact_lshape, solve_fine
 from .geometry import (CoarsePartition, PerforatedDomain, Rect, build_skeleton,
                        cell_extent, load_geometry, refine_edges)
-from .mesh import build_overlap, generate_structured, red_refine, refine_toward
+from .mesh import (assign_cells, build_overlap, generate_structured,
+                   red_refine, refine_toward)
 from .schwarz import (REPORT_COLUMNS, ErrorMonitor, build_schwarz,
                       hybrid_iterate, solve_pgmres)
 
@@ -28,6 +29,7 @@ SCALABILITY_COLUMNS = "walls,N,overlap,space,iters,converged,dim,relative_dim,er
 STUDY_COLUMNS = "method,N,overlap,space,p,r,iters,converged,final_alg_l2,error"
 SPACES = ("trefftz", "nicolaides")
 METHODS = ("hybrid", "gmres")
+N_VALUES = (4, 16, 64, 256)      # default subdomain counts of the scalability sweep
 
 
 def _format_cell(value):
@@ -128,50 +130,35 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
     the H1-projection estimate bounds), up to the |u| vs |u_h| scaling of
     the relative norms.
     """
-    if strategy not in ("edge", "mesh"):
+    if strategy == "edge":
+        levels = 4 if levels is None else levels
+        grade = 3 if grade is None else grade
+        # (cells per side, fine pitch, skeleton edge refinement levels)
+        plan = [(3, 1.0 / 192.0 if pitch is None else pitch, range(levels))]
+    elif strategy == "mesh":
+        levels = 3 if levels is None else levels
+        grade = 2 if grade is None else grade
+        plan = [(2 * k + 1, 2.0 / ((2 * k + 1) * divisions), (0,))
+                for k in range(1, levels + 1)]
+    else:
         raise ValueError("strategy must be 'edge' or 'mesh'")
     degrees = p if isinstance(p, tuple) else (p,)
     domain = lshape_domain()
-    g = lambda pts: exact_lshape(pts)[0]
-    corner = np.array([[0.0, 0.0]])
 
     steps, floor = {q: [] for q in degrees}, []
-
-    def measure(mesh, system, skel, H, cache=None):
-        for q in degrees:
-            space = build_trefftz(mesh, system, skel, q, cache)
-            u = coarse_approximation(system, space)
-            steps[q].append((H, space.dim) + error_norms(mesh, u, exact_lshape))
-
-    if strategy == "edge":
-        levels = 4 if levels is None else levels
-        pitch = 1.0 / 192.0 if pitch is None else pitch
-        grade = 3 if grade is None else grade
-        part = CoarsePartition(domain.outer, 3, 3)
-        mesh = generate_structured(domain, part, pitch)
-        if grade:
-            mesh = refine_toward(mesh, corner, grade)
-        system = assemble(mesh, g=g)
-        fe = error_norms(mesh, solve_fine(system), exact_lshape)
-        skel = build_skeleton(domain, part)
-        cache = build_cell_cache(mesh, system, skel)
-        for r in range(levels):
-            measure(mesh, system, refine_edges(skel, r), skel.H / 2 ** r, cache)
-            floor.append((skel.H / 2 ** r, system.dofmap.n_free) + fe)
-    else:
-        levels = 3 if levels is None else levels
-        grade = 2 if grade is None else grade
-        for k in range(1, levels + 1):
-            n = 2 * k + 1
-            part = CoarsePartition(domain.outer, n, n)
-            mesh = generate_structured(domain, part, 2.0 / (n * divisions))
-            if grade:
-                mesh = refine_toward(mesh, corner, grade)
-            system = assemble(mesh, g=g)
-            skel = build_skeleton(domain, part)
-            measure(mesh, system, skel, skel.H)
-            floor.append((skel.H, system.dofmap.n_free)
-                         + error_norms(mesh, solve_fine(system), exact_lshape))
+    for n, h, refinements in plan:
+        part = CoarsePartition(domain.outer, n, n)
+        mesh, system, exact = _fine_problem(domain, part, h, grade)
+        mesh, skel, cache = _partition_setup(domain, part, mesh, system)
+        fe = error_norms(mesh, solve_fine(system), exact)
+        for r in refinements:
+            H = skel.H / 2 ** r
+            for q in degrees:
+                space = build_trefftz(mesh, system, refine_edges(skel, r), q,
+                                      cache)
+                u = coarse_approximation(system, space)
+                steps[q].append((H, space.dim) + error_norms(mesh, u, exact))
+            floor.append((H, system.dofmap.n_free) + fe)
 
     floor_rows = _convergence_rows(floor)
     studies = {q: (_convergence_rows(steps[q]), floor_rows) for q in degrees}
@@ -238,11 +225,42 @@ def generate_urban_synthetic(seed, extent=640.0, pitch=2.5, n_buildings=24,
                             tuple(buildings + walls))
 
 
-def _reference_solution(mesh, system, f, levels):
-    """Nested reference solution for full-error tracking (red refinement)."""
-    ref_mesh, P = red_refine(mesh, levels)
-    ref_system = assemble(ref_mesh, f=f)
-    return ref_mesh, solve_fine(ref_system), P
+def _fine_problem(domain, partition, pitch, grade=0, reference_levels=0):
+    """Geometry step: (mesh, system, exact) of one fine problem.
+
+    The mesh is built on `partition` and graded `grade` bisection rounds
+    toward the origin, the L-shape's reentrant corner.  On the L-shape the
+    Dirichlet data is the trace of `exact_lshape`, which is also the exact
+    solution.  Any other domain gets f = 1 and homogeneous Dirichlet data,
+    and its exact solution is the nested reference solution on the mesh
+    red-refined `reference_levels` times, or None for zero levels.
+    """
+    mesh = generate_structured(domain, partition, pitch)
+    if grade:
+        mesh = refine_toward(mesh, np.array([[0.0, 0.0]]), grade)
+    if domain == lshape_domain():
+        g = lambda pts: exact_lshape(pts)[0]
+        return mesh, assemble(mesh, g=g), exact_lshape
+    f = lambda pts: np.ones(len(pts))
+    system = assemble(mesh, f=f)
+    if not reference_levels:
+        return mesh, system, None
+    ref_mesh, P = red_refine(mesh, reference_levels)
+    return mesh, system, (ref_mesh, solve_fine(assemble(ref_mesh, f=f)), P)
+
+
+def _partition_setup(domain, partition, mesh, system):
+    """Partition step: (mesh, skeleton, cell cache) for one coarse grid.
+
+    The returned mesh is `mesh` with its triangles labelled by the cells of
+    `partition`; a triangle that straddles two cells raises
+    NonConformingMesh.
+    """
+    mesh = replace(mesh, cell_of_triangle=assign_cells(mesh.points,
+                                                       mesh.triangles,
+                                                       partition))
+    skel = build_skeleton(domain, partition)
+    return mesh, skel, build_cell_cache(mesh, system, skel)
 
 
 @dataclass
@@ -265,33 +283,6 @@ class ExperimentConfig:
     max_iters: int = 200
     reference_levels: int = 2
     outdir: str | None = None
-
-
-def _study_setup(config):
-    """Mesh, system, skeleton and error monitor for a solver study."""
-    if config.geometry == "lshape":
-        domain = lshape_domain()
-        part = CoarsePartition(domain.outer, config.nx or 5, config.ny or 5)
-        mesh = generate_structured(domain, part, config.pitch)
-        system = assemble(mesh, g=lambda pts: exact_lshape(pts)[0])
-        exact = exact_lshape
-    else:
-        if config.geometry == "urban":
-            domain = generate_urban_synthetic(config.seed, config.extent,
-                                              config.pitch, config.n_buildings,
-                                              config.n_walls)
-            part = CoarsePartition(domain.outer, config.nx or 5, config.ny or 5)
-        else:                                # a saved geometry JSON file
-            domain, part = load_geometry(config.geometry)
-            if config.nx and config.ny:
-                part = CoarsePartition(domain.outer, config.nx, config.ny)
-        mesh = generate_structured(domain, part, config.pitch)
-        f = lambda pts: np.ones(len(pts))
-        system = assemble(mesh, f=f)
-        exact = (_reference_solution(mesh, system, f, config.reference_levels)
-                 if config.reference_levels else None)
-    skel = build_skeleton(domain, part)
-    return domain, part, mesh, system, skel, ErrorMonitor(mesh, system, exact)
 
 
 def _run_method(method, ctx, monitor, tol, max_iters):
@@ -327,8 +318,20 @@ def run_solver_study(config):
     for method in config.method:
         if method not in METHODS:
             raise ValueError("unknown method %r" % (method,))
-    domain, part, mesh, system, skel, monitor = _study_setup(config)
-    cache = build_cell_cache(mesh, system, skel)
+    if config.geometry in ("lshape", "urban"):
+        domain = (lshape_domain() if config.geometry == "lshape" else
+                  generate_urban_synthetic(config.seed, config.extent,
+                                           config.pitch, config.n_buildings,
+                                           config.n_walls))
+        part = CoarsePartition(domain.outer, config.nx or 5, config.ny or 5)
+    else:                                    # a saved geometry JSON file
+        domain, part = load_geometry(config.geometry)
+        if config.nx and config.ny:
+            part = CoarsePartition(domain.outer, config.nx, config.ny)
+    mesh, system, exact = _fine_problem(
+        domain, part, config.pitch, reference_levels=config.reference_levels)
+    mesh, skel, cache = _partition_setup(domain, part, mesh, system)
+    monitor = ErrorMonitor(mesh, system, exact)
     n_cells = part.nx * part.ny
     reports = {}
     summary = []
@@ -367,7 +370,7 @@ def run_solver_study(config):
     return reports
 
 
-def run_scalability(seed=1, outdir=None, n_values=(4, 16, 64, 256),
+def run_scalability(seed=1, outdir=None, n_values=N_VALUES,
                     extent=640.0, pitch=2.5, n_buildings=24, n_walls=12,
                     tol=1e-8, max_iters=400):
     """Iteration counts vs subdomain count for both coarse spaces.
@@ -376,19 +379,25 @@ def run_scalability(seed=1, outdir=None, n_values=(4, 16, 64, 256),
     overlap rules and both coarse spaces, runs preconditioned GMRES until
     the algebraic L2 error against the fine solution drops below tol, and
     tabulates iterations, coarse dimension, and dimension relative to the
-    coarse-node (or subdomain) count.
+    coarse-node (or subdomain) count.  Each geometry is meshed, assembled
+    and solved once; only its coarse partition changes with N.
     """
-    if any(N < 1 or math.isqrt(N) ** 2 != N for N in n_values):
-        raise ValueError("n_values entries must be positive perfect squares")
+    pitches = round(extent / pitch)
+    if any(N < 1 or math.isqrt(N) ** 2 != N or pitches % math.isqrt(N)
+           for N in n_values):
+        raise ValueError("n_values entries must be positive perfect squares "
+                         "whose sqrt divides the %d pitches per side" % pitches)
     rows = []
     for walls in (True, False):
+        domain = generate_urban_synthetic(seed, extent, pitch, n_buildings,
+                                          n_walls if walls else 0)
+        mesh, system, _ = _fine_problem(
+            domain, CoarsePartition(domain.outer, 1, 1), pitch)
+        monitor = ErrorMonitor(mesh, system, None)
         for N in n_values:
             n = math.isqrt(N)
-            _, part, mesh, system, skel, monitor = _study_setup(ExperimentConfig(
-                geometry="urban", seed=seed, nx=n, ny=n, pitch=pitch,
-                extent=extent, n_buildings=n_buildings,
-                n_walls=n_walls if walls else 0, reference_levels=0))
-            cache = build_cell_cache(mesh, system, skel)
+            part = CoarsePartition(domain.outer, n, n)
+            mesh, skel, cache = _partition_setup(domain, part, mesh, system)
             trefftz = build_trefftz(mesh, system, skel, 1, cache)
             for rule in ("min", "h20"):
                 ov = build_overlap(mesh, system.dofmap,

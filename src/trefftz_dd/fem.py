@@ -87,9 +87,9 @@ def lumped_load(mesh, f):
 class AssembledSystem:
     """Stiffness system with the Dirichlet nodes eliminated.
 
-    A and f act on free dofs; A_full, A_fd and load_full keep the
-    unconstrained operator and load for the cell-local solves of the coarse
-    space and for boundary lifts.
+    A and f act on free dofs; A_full and load_full keep the unconstrained
+    operator and load for the cell-local solves of the coarse space and for
+    boundary lifts.
     """
 
     A: csr_matrix              # free x free
@@ -97,7 +97,6 @@ class AssembledSystem:
     dofmap: object
     dirichlet_values: np.ndarray
     A_full: csr_matrix         # all nodes x all nodes
-    A_fd: csr_matrix           # free x dirichlet coupling block
     load_full: np.ndarray
     _fact: Factorization | None = field(default=None, repr=False)
 
@@ -137,7 +136,7 @@ def assemble(mesh, f=None, g=None, dofmap=None):
     else:
         g_vals = np.asarray(g(mesh.points[dr]), dtype=float)
     rhs = load_full[fr] - A_fd @ g_vals
-    return AssembledSystem(A, rhs, dofmap, g_vals, A_full, A_fd, load_full)
+    return AssembledSystem(A, rhs, dofmap, g_vals, A_full, load_full)
 
 
 def solve_fine(system):

@@ -225,15 +225,14 @@ def _open_subsegments(lo, hi, blocked):
     return segs
 
 
-def build_skeleton(domain, partition, pitch=None):
+def build_skeleton(domain, partition):
     """Skeleton of the coarse partition clipped against the perforations.
 
     Edges are the straight pieces of inter-cell interfaces and of the outer
     boundary, with every interval covered by a perforation closure removed,
     split at cell corners and at perforation contacts.  Outer-boundary edges
     are flagged on_dirichlet; a node is constrained iff it is an endpoint of
-    such an edge.  When `pitch` is given, perforation coordinates are checked
-    to sit on the fine grid.
+    such an edge.
     """
     if (snap_point((partition.outer.x0, partition.outer.y0))
             != snap_point((domain.outer.x0, domain.outer.y0))
@@ -241,14 +240,6 @@ def build_skeleton(domain, partition, pitch=None):
             != snap_point((domain.outer.x1, domain.outer.y1))):
         raise PartitionMismatch("partition outer %r does not tile domain outer %r"
                                 % (partition.outer, domain.outer))
-    if pitch is not None:
-        for p in domain.perforations:
-            for c, o in ((p.x0, domain.outer.x0), (p.x1, domain.outer.x0),
-                         (p.y0, domain.outer.y0), (p.y1, domain.outer.y0)):
-                t = (c - o) / pitch
-                if abs(t - round(t)) > 1e-9:
-                    raise GeometryNotSnapped("perforation coordinate %r is off the pitch-%g grid"
-                                             % (c, pitch))
 
     xl, yl = partition.x_lines(), partition.y_lines()
     x_set = {snap(x) for x in xl}

@@ -274,7 +274,7 @@ def test_09_hybrid_reaches_fine_solution():
     mesh = generate_structured(domain, part, pitch)
     system = assemble(mesh, g=lambda pts: exact_lshape(pts)[0])
     monitor = ErrorMonitor(mesh, system, exact=exact_lshape)
-    skel = build_skeleton(domain, part, pitch=pitch)
+    skel = build_skeleton(domain, part)
     cache = build_cell_cache(mesh, system, skel)
     space = build_trefftz(mesh, system, skel, 1, cache)
     overlap = build_overlap(mesh, system.dofmap,

@@ -104,3 +104,12 @@ def test_scalability_command(tmp_path, capsys):
     assert "seed 2" in out and "seed 3" in out
     assert (tmp_path / "seed2" / "scalability.csv").exists()
     assert (tmp_path / "seed3" / "scalability.csv").exists()
+
+
+def test_scalability_partition_off_the_pitch_grid_exits_2(tmp_path, capsys):
+    code = main(["scalability", "--seeds", "2", "--n-values", "4", "9",
+                 "--extent", "80", "--pitch", "2.5", "--buildings", "2",
+                 "--walls", "1", "--tol", "1e-6", "--out", str(tmp_path)])
+    assert code == 2
+    assert "divides the 32 pitches per side" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

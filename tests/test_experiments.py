@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from trefftz_dd import experiments
+from trefftz_dd import coarse, experiments, schwarz
 from trefftz_dd.coarse import build_cell_cache, build_trefftz, coarse_approximation
 from trefftz_dd.errors import PlacementFailure
 from trefftz_dd.experiments import (
@@ -108,6 +108,30 @@ def test_lshape_mesh_study_small():
     assert floor[1].h1_rel < rows[1].h1_rel
 
 
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) in a call counter; returns {name: count}."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        def counted(*args, orig=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_lshape_mesh_study_one_cache_per_mesh(monkeypatch):
+    kwargs = dict(strategy="mesh", levels=2, grade=1, divisions=12)
+    single = {p: run_lshape_convergence(p=p, **kwargs) for p in (1, 2)}
+    # build_trefftz builds its own cache when given none, so count both names
+    calls = _count_calls(monkeypatch, (experiments, "build_cell_cache"),
+                         (coarse, "build_cell_cache"))
+    studies = run_lshape_convergence(p=(1, 2), **kwargs)
+    assert sum(calls.values()) == 2
+    for p in (1, 2):    # exact equality, with the nan first-row EOCs equal
+        for got, want in zip(studies[p], single[p]):
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+
+
 def test_urban_generator_deterministic_and_snapped():
     a = generate_urban_synthetic(7, extent=160.0, pitch=2.5, n_buildings=8,
                                  n_walls=4)
@@ -168,12 +192,8 @@ def test_solver_study_small(tmp_path):
 
 
 def test_nicolaides_study_builds_once_per_overlap(tmp_path, monkeypatch):
-    calls = {"build_nicolaides": 0, "build_schwarz": 0}
-    for name in calls:
-        def counted(*args, orig=getattr(experiments, name), name=name, **kwargs):
-            calls[name] += 1
-            return orig(*args, **kwargs)
-        monkeypatch.setattr(experiments, name, counted)
+    calls = _count_calls(monkeypatch, (experiments, "build_nicolaides"),
+                         (experiments, "build_schwarz"))
     reports = run_solver_study(ExperimentConfig(
         geometry="lshape", nx=3, ny=3, pitch=1.0 / 24.0, p=(1, 2), edge_ref=(0, 1),
         overlap=("min", "h20"), method=("gmres",), space="nicolaides", tol=1e-6,
@@ -222,3 +242,25 @@ def test_scalability_tiny(tmp_path):
                     pitch=2.5, n_buildings=4, n_walls=2, tol=1e-6,
                     max_iters=400)
     assert (rerun / "scalability.csv").read_text() == text
+
+
+def test_scalability_builds_each_fine_problem_once(monkeypatch):
+    calls = _count_calls(monkeypatch,
+                         (experiments, "generate_urban_synthetic"),
+                         (experiments, "assemble"), (schwarz, "solve_fine"),
+                         (experiments, "build_cell_cache"))
+    rows = run_scalability(seed=2, n_values=(4, 16), extent=80.0, pitch=2.5,
+                           n_buildings=4, n_walls=2, tol=1e-6)
+    assert len(rows) == 16
+    assert calls == {"generate_urban_synthetic": 2, "assemble": 2,
+                     "solve_fine": 2, "build_cell_cache": 4}
+
+
+def test_scalability_rejects_partition_off_the_pitch_grid(monkeypatch):
+    # 80 m is 32 pitches of 2.5 m, which 3 cells per side do not divide;
+    # the sweep is rejected before any geometry is built
+    calls = _count_calls(monkeypatch, (experiments, "generate_urban_synthetic"))
+    with pytest.raises(ValueError, match="32 pitches"):
+        run_scalability(seed=2, n_values=(4, 9), extent=80.0, pitch=2.5,
+                        n_buildings=4, n_walls=2, tol=1e-6)
+    assert calls == {"generate_urban_synthetic": 0}

@@ -87,7 +87,7 @@ def test_unit_square_2x2_skeleton():
 
 def test_lshape_3x3_skeleton():
     domain, part = lshape()
-    skel = build_skeleton(domain, part, pitch=1.0 / 3.0)
+    skel = build_skeleton(domain, part)
     interior = [e for e in skel.edges if not e.on_dirichlet]
     assert len(interior) == 10
     free = sorted(skel.node_position(i) for i in skel.free_nodes())
@@ -187,15 +187,6 @@ def test_partition_mismatch():
     domain, _ = lshape()
     with pytest.raises(PartitionMismatch):
         build_skeleton(domain, CoarsePartition(Rect(-1.0, -1.0, 1.0, 2.0), 3, 3))
-
-
-def test_pitch_snap_check():
-    outer = Rect(0.0, 0.0, 1.0, 1.0)
-    domain = PerforatedDomain(outer, (Rect(0.305, 0.3, 0.6, 0.6),))
-    part = CoarsePartition(outer, 2, 2)
-    with pytest.raises(GeometryNotSnapped):
-        build_skeleton(domain, part, pitch=0.1)
-    build_skeleton(domain, part, pitch=0.005)  # 0.305 sits on this grid
 
 
 def test_geometry_json_roundtrip(tmp_path):

@@ -7,8 +7,10 @@ Python breadth-first search / union-find reimplementations.
 """
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 
+from test_acceptance import _small_instance
 from trefftz_dd import mesh as mesh_module
 from trefftz_dd.errors import (
     DisconnectedDomain,
@@ -135,6 +137,26 @@ def test_conformity_check_on_load():
     # but conform to the 2x2 partition
     cells = assign_cells(mesh.points, mesh.triangles, CoarsePartition(domain.outer, 2, 2))
     assert set(np.unique(cells)) == {0, 1, 2, 3}
+
+
+@given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((1, 2, 4, 8)),
+       ny=st.sampled_from((1, 2, 4, 8)))
+def test_assign_cells_relabels_like_generate_structured(seed, nx, ny):
+    # the fine mesh does not depend on the partition, so re-labelling one
+    # mesh must give the cells that meshing on the partition gives
+    domain, _, mesh = _small_instance(seed)
+    part = CoarsePartition(domain.outer, nx, ny)
+    direct = generate_structured(domain, part, 1.0)
+    for name in ("points", "triangles", "boundary_edges", "boundary_marker"):
+        np.testing.assert_array_equal(getattr(direct, name), getattr(mesh, name))
+    assert direct.h == mesh.h
+    cells = assign_cells(mesh.points, mesh.triangles, part)
+    assert cells.dtype == direct.cell_of_triangle.dtype
+    np.testing.assert_array_equal(cells, direct.cell_of_triangle)
+    # 32 pitches do not divide into 3 cells
+    with pytest.raises(NonConformingMesh):
+        assign_cells(mesh.points, mesh.triangles,
+                     CoarsePartition(domain.outer, 3, 3))
 
 
 def test_refine_toward_grades_and_conforms():
