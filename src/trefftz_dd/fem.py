@@ -230,11 +230,12 @@ def exact_lshape(points):
     phi = a * (theta - np.pi / 2)
     origin = r == 0.0
     rs = np.where(origin, 1.0, r)
-    vals = rs ** a * np.cos(phi)
-    dr = a * rs ** (a - 1.0) * np.cos(phi)
-    dt = -a * rs ** (a - 1.0) * np.sin(phi)
-    grads = np.column_stack([dr * np.cos(theta) - dt * np.sin(theta),
-                             dr * np.sin(theta) + dt * np.cos(theta)])
+    cos_phi, sin_phi, ra1 = np.cos(phi), np.sin(phi), rs ** (a - 1.0)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    vals = rs ** a * cos_phi
+    dr = a * ra1 * cos_phi
+    dt = -a * ra1 * sin_phi
+    grads = np.column_stack([dr * cos_t - dt * sin_t, dr * sin_t + dt * cos_t])
     vals[origin] = 0.0
     grads[origin] = np.inf
     return vals, grads

@@ -213,71 +213,111 @@ def assign_cells(points, triangles, partition):
 # ---------------------------------------------------------------------------
 # Local refinement by longest-edge bisection (Rivara)
 
+def _edge_key(a, b):
+    """int64 key of the sorted node pair a < b; node ids are int32, so
+    keys order pairs lexicographically."""
+    return a * 2**31 + b
+
+
+def _grown(a):
+    """`a` followed by half as many zero rows again, as spare capacity."""
+    return np.concatenate([a, np.zeros((len(a) // 2 + 8,) + a.shape[1:], a.dtype)])
+
+
 class _MutableMesh:
-    """Edit-friendly mesh view used by the bisection routines."""
+    """Mesh under longest-edge bisection, held in numpy arrays.
+
+    `points` (rows below `n_points`), `tris` and `cell` (rows below
+    `next_tri`) carry spare rows, and `alive` is False on dead and spare
+    triangle rows.  Splitting a triangle clears its `alive` flag and appends
+    two rows, with ids `next_tri` and `next_tri + 1`; bisecting an edge
+    appends one point.
+
+    `edge_tris` maps a canonical (min, max) edge to the ascending ids of the
+    live triangles that own it.  An entry is made the first time the walk
+    reads or changes its edge, from its owners in the input mesh, looked up
+    in one sort of the `_edge_key`s of all input edges (an edge with a new
+    point finds none).  Entries stay when they empty.  So the Python work
+    scales with the triangles the walk visits, not with the mesh.  `bmark`
+    maps boundary edges to markers.
+    """
 
     def __init__(self, mesh):
-        self.points = mesh.points.tolist()
-        self.tris = {}
-        self.cell = {}
-        self.edge_tris = {}
-        cells = mesh.cell_of_triangle.tolist()
-        for t, tri in enumerate(mesh.triangles.tolist()):
-            self._add_tri(t, tuple(tri), cells[t])
+        self.points = _grown(mesh.points)
+        self.n_points = mesh.n_points
+        self.tris = _grown(mesh.triangles)
+        self.cell = _grown(mesh.cell_of_triangle)
+        self.alive = np.arange(len(self.tris)) < mesh.n_triangles
         self.next_tri = mesh.n_triangles
+        edges = _all_edges(mesh.triangles).astype(np.int64)
+        keys = _edge_key(edges[:, 0], edges[:, 1])
+        order = np.argsort(keys)
+        self.edge_keys, self.edge_owner = keys[order], order % mesh.n_triangles
+        self.edge_tris = {}
         self.bmark = {tuple(e): mk for e, mk in zip(mesh.boundary_edges.tolist(),
                                                     mesh.boundary_marker.tolist())}
-        self.node_of_edge = {}
 
-    def _add_tri(self, tid, tri, cell):
-        self.tris[tid] = tri
-        self.cell[tid] = cell
+    def _owners(self, e):
+        owners = self.edge_tris.get(e)
+        if owners is None:
+            key = _edge_key(*e)
+            lo, hi = np.searchsorted(self.edge_keys, (key, key + 1))
+            owners = self.edge_tris[e] = sorted(self.edge_owner[lo:hi].tolist())
+        return owners
+
+    def _tri(self, tid):
+        return tuple(self.tris[tid].tolist())
+
+    def _add_tri(self, tri, cell):
+        tid = self.next_tri
+        if tid == len(self.tris):
+            self.tris, self.cell, self.alive = map(_grown, (self.tris, self.cell, self.alive))
+        self.tris[tid], self.cell[tid], self.alive[tid] = tri, cell, True
+        self.next_tri += 1
         for e in self._edges(tri):
-            self.edge_tris.setdefault(e, []).append(tid)
+            self._owners(e).append(tid)
 
     def _remove_tri(self, tid):
-        tri = self.tris.pop(tid)
-        self.cell.pop(tid)
-        for e in self._edges(tri):
-            owners = self.edge_tris[e]
-            owners.remove(tid)
-            if not owners:
-                del self.edge_tris[e]
+        self.alive[tid] = False
+        for e in self._edges(self._tri(tid)):
+            self._owners(e).remove(tid)
 
     @staticmethod
     def _edges(tri):
         a, b, c = tri
         return ((min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c)))
 
+    def _ends(self, e):
+        return self.points[list(e)].tolist()
+
     def _length2(self, e):
-        (xa, ya), (xb, yb) = self.points[e[0]], self.points[e[1]]
+        (xa, ya), (xb, yb) = self._ends(e)
         return (xb - xa) ** 2 + (yb - ya) ** 2
 
     def longest_edge(self, tid):
-        return max(self._edges(self.tris[tid]), key=lambda e: (self._length2(e), e))
+        return max(self._edges(self._tri(tid)), key=lambda e: (self._length2(e), e))
 
     def _midpoint(self, e):
-        m = self.node_of_edge.get(e)
-        if m is None:
-            (xa, ya), (xb, yb) = self.points[e[0]], self.points[e[1]]
-            m = len(self.points)
-            self.points.append((0.5 * (xa + xb), 0.5 * (ya + yb)))
-            self.node_of_edge[e] = m
+        (xa, ya), (xb, yb) = self._ends(e)
+        m = self.n_points
+        if m == len(self.points):
+            self.points = _grown(self.points)
+        self.points[m] = (0.5 * (xa + xb), 0.5 * (ya + yb))
+        self.n_points += 1
         return m
 
     def _split(self, tid, e, mid):
-        a, b, c = self.tris[tid]
+        a, b, c = self._tri(tid)
         cyc = [(a, b, c), (b, c, a), (c, a, b)]
         p, q, r = next(t for t in cyc if (min(t[0], t[1]), max(t[0], t[1])) == e)
         cell = self.cell[tid]
         self._remove_tri(tid)
-        self._add_tri(self.next_tri, (p, mid, r), cell)
-        self._add_tri(self.next_tri + 1, (mid, q, r), cell)
-        self.next_tri += 2
+        self._add_tri((p, mid, r), cell)
+        self._add_tri((mid, q, r), cell)
 
     def bisect_edge(self, e):
         mid = self._midpoint(e)
-        for tid in list(self.edge_tris.get(e, ())):
+        for tid in list(self._owners(e)):
             self._split(tid, e, mid)
         if e in self.bmark:
             mk = self.bmark.pop(e)
@@ -287,26 +327,25 @@ class _MutableMesh:
 
     def refine_triangle(self, tid):
         """Rivara bisection: walk the longest-edge propagation path."""
-        while tid in self.tris:
+        while self.alive[tid]:
             t = tid
             while True:
                 e = self.longest_edge(t)
-                others = [o for o in self.edge_tris[e] if o != t]
+                others = [o for o in self._owners(e) if o != t]
                 if not others or self.longest_edge(others[0]) == e:
                     self.bisect_edge(e)
                     break
                 t = others[0]
 
     def to_mesh(self):
-        order = sorted(self.tris)
-        tris = np.array([self.tris[t] for t in order], dtype=np.int32)
-        cells = np.array([self.cell[t] for t in order], dtype=np.int32)
-        points = np.asarray(self.points)
-        pairs = sorted(self.bmark)
-        bpairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
-        marker = np.array([self.bmark[e] for e in pairs], dtype=np.int8)
-        return Triangulation(points, tris, cells, bpairs, marker,
-                             max_edge_length(points, tris))
+        keep = np.flatnonzero(self.alive)
+        tris = self.tris[keep]
+        points = self.points[:self.n_points].copy()
+        pairs = np.array(list(self.bmark), dtype=np.int64).reshape(-1, 2)
+        order = np.argsort(_edge_key(pairs[:, 0], pairs[:, 1]))
+        marker = np.array(list(self.bmark.values()), dtype=np.int8)[order]
+        return Triangulation(points, tris, self.cell[keep], pairs[order].astype(np.int32),
+                             marker, max_edge_length(points, tris))
 
 
 def refine_toward(mesh, targets, rounds):
@@ -314,16 +353,22 @@ def refine_toward(mesh, targets, rounds):
 
     Each round bisects every triangle closer to some target than twice its
     own diameter, so each round roughly halves the local mesh size in a
-    shrinking neighbourhood of the targets.
+    shrinking neighbourhood of the targets.  `targets` is a finite (k, 2)
+    array, k >= 0, and `rounds` a non-negative integer; anything else raises
+    ValueError.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != 2 or not np.isfinite(targets).all():
+        raise ValueError("targets must be a finite (k, 2) array, got shape %s"
+                         % (targets.shape,))
+    if not isinstance(rounds, (int, np.integer)) or rounds < 0:
+        raise ValueError("rounds must be a non-negative integer, got %r" % (rounds,))
     work = _MutableMesh(mesh)
     for _ in range(rounds):
-        ids = sorted(work.tris)
-        corners = np.asarray(work.points)[np.array([work.tris[t] for t in ids])]
-        for tid in np.asarray(ids)[_near_targets(corners, targets)].tolist():
-            if tid in work.tris:
-                work.refine_triangle(tid)
+        ids = np.flatnonzero(work.alive)
+        corners = work.points[work.tris[ids]]
+        for tid in ids[_near_targets(corners, targets)].tolist():
+            work.refine_triangle(tid)
     return work.to_mesh()
 
 

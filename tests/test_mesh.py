@@ -7,7 +7,7 @@ Python breadth-first search / union-find reimplementations.
 """
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.sparse import csr_matrix
 
 from test_acceptance import _small_instance
@@ -327,6 +327,184 @@ def test_edge_keys_match_row_unique(name, monkeypatch):
     assert P.shape == ref_P.shape
     for part in ("data", "indices", "indptr"):
         assert _same_bytes(getattr(P, part), getattr(ref_P, part)), part
+
+
+class _DictMesh:
+    """Rivara bisection on dicts of tuples, one Python entry per triangle and
+    edge, which `mesh._MutableMesh` replaces with arrays and a lazily built
+    edge map."""
+
+    def __init__(self, mesh):
+        self.points = mesh.points.tolist()
+        self.tris = {}
+        self.cell = {}
+        self.edge_tris = {}
+        cells = mesh.cell_of_triangle.tolist()
+        for t, tri in enumerate(mesh.triangles.tolist()):
+            self._add_tri(t, tuple(tri), cells[t])
+        self.next_tri = mesh.n_triangles
+        self.bmark = {tuple(e): mk for e, mk in zip(mesh.boundary_edges.tolist(),
+                                                    mesh.boundary_marker.tolist())}
+        self.node_of_edge = {}
+
+    def _add_tri(self, tid, tri, cell):
+        self.tris[tid] = tri
+        self.cell[tid] = cell
+        for e in self._edges(tri):
+            self.edge_tris.setdefault(e, []).append(tid)
+
+    def _remove_tri(self, tid):
+        tri = self.tris.pop(tid)
+        self.cell.pop(tid)
+        for e in self._edges(tri):
+            owners = self.edge_tris[e]
+            owners.remove(tid)
+            if not owners:
+                del self.edge_tris[e]
+
+    @staticmethod
+    def _edges(tri):
+        a, b, c = tri
+        return ((min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c)))
+
+    def _length2(self, e):
+        (xa, ya), (xb, yb) = self.points[e[0]], self.points[e[1]]
+        return (xb - xa) ** 2 + (yb - ya) ** 2
+
+    def longest_edge(self, tid):
+        return max(self._edges(self.tris[tid]), key=lambda e: (self._length2(e), e))
+
+    def _midpoint(self, e):
+        m = self.node_of_edge.get(e)
+        if m is None:
+            (xa, ya), (xb, yb) = self.points[e[0]], self.points[e[1]]
+            m = len(self.points)
+            self.points.append((0.5 * (xa + xb), 0.5 * (ya + yb)))
+            self.node_of_edge[e] = m
+        return m
+
+    def _split(self, tid, e, mid):
+        a, b, c = self.tris[tid]
+        cyc = [(a, b, c), (b, c, a), (c, a, b)]
+        p, q, r = next(t for t in cyc if (min(t[0], t[1]), max(t[0], t[1])) == e)
+        cell = self.cell[tid]
+        self._remove_tri(tid)
+        self._add_tri(self.next_tri, (p, mid, r), cell)
+        self._add_tri(self.next_tri + 1, (mid, q, r), cell)
+        self.next_tri += 2
+
+    def bisect_edge(self, e):
+        mid = self._midpoint(e)
+        for tid in list(self.edge_tris.get(e, ())):
+            self._split(tid, e, mid)
+        if e in self.bmark:
+            mk = self.bmark.pop(e)
+            a, b = e
+            self.bmark[(min(a, mid), max(a, mid))] = mk
+            self.bmark[(min(b, mid), max(b, mid))] = mk
+
+    def refine_triangle(self, tid):
+        while tid in self.tris:
+            t = tid
+            while True:
+                e = self.longest_edge(t)
+                others = [o for o in self.edge_tris[e] if o != t]
+                if not others or self.longest_edge(others[0]) == e:
+                    self.bisect_edge(e)
+                    break
+                t = others[0]
+
+    def to_mesh(self):
+        order = sorted(self.tris)
+        tris = np.array([self.tris[t] for t in order], dtype=np.int32)
+        cells = np.array([self.cell[t] for t in order], dtype=np.int32)
+        points = np.asarray(self.points)
+        pairs = sorted(self.bmark)
+        bpairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+        marker = np.array([self.bmark[e] for e in pairs], dtype=np.int8)
+        return mesh_module.Triangulation(points, tris, cells, bpairs, marker,
+                                         mesh_module.max_edge_length(points, tris))
+
+
+def _refine_toward_ref(mesh, targets, rounds):
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    work = _DictMesh(mesh)
+    for _ in range(rounds):
+        ids = sorted(work.tris)
+        corners = np.asarray(work.points)[np.array([work.tris[t] for t in ids])]
+        for tid in np.asarray(ids)[_near_targets(corners, targets)].tolist():
+            if tid in work.tris:
+                work.refine_triangle(tid)
+    return work.to_mesh()
+
+
+def _assert_refines_like_ref(mesh, targets, rounds):
+    fine = refine_toward(mesh, targets, rounds)
+    ref = _refine_toward_ref(mesh, targets, rounds)
+    for field in ("points", "triangles", "cell_of_triangle", "boundary_edges",
+                  "boundary_marker"):
+        assert _same_bytes(getattr(fine, field), getattr(ref, field)), field
+    assert fine.h == ref.h
+    return fine
+
+
+def _tied_mesh(n=6):
+    """Staggered rows of triangles with base 1 and height 1, so each
+    triangle's two longest edges tie exactly (squared lengths 1.25)."""
+    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    points = np.column_stack([i + 0.5 * (j % 2), j]).astype(float)
+    tris = []
+    for r in range(n):
+        for c in range(n):
+            a, b = r * (n + 1) + c, (r + 1) * (n + 1) + c
+            tris += ([(a, a + 1, b), (a + 1, b + 1, b)] if r % 2 == 0
+                     else [(a, a + 1, b + 1), (a, b + 1, b)])
+    tris = np.array(tris, dtype=np.int32)
+    pairs = _boundary_pairs(tris)
+    return mesh_module.Triangulation(points, tris, np.zeros(len(tris), np.int32), pairs,
+                                     np.full(len(pairs), DIRICHLET, np.int8),
+                                     mesh_module.max_edge_length(points, tris))
+
+
+# the graded meshes of the tests above, EDGE_KEY_MESHES["graded"], no
+# targets, and length ties
+@pytest.mark.parametrize("make, targets, rounds", [
+    (lambda: generate_structured(*lshape(), 1.0 / 6.0), [(0.0, 0.0)], 3),
+    (lambda: generate_structured(*lshape(), 1.0 / 6.0), [(0.0, 0.0)], 2),
+    (lambda: generate_structured(*lshape(), 1.0 / 6.0), [(0.0, 0.0), (-0.5, -0.5)], 3),
+    (lambda: generate_structured(*lshape(), 1.0 / 12.0), np.array([[0.0, 0.0]]), 2),
+    (lambda: generate_structured(*lshape(), 1.0 / 6.0), np.empty((0, 2)), 3),
+    (_tied_mesh, [(3.0, 3.0)], 3),
+])
+def test_refine_toward_matches_dict_oracle(make, targets, rounds):
+    mesh = make()
+    fine = _assert_refines_like_ref(mesh, targets, rounds)
+    assert (fine.n_triangles > mesh.n_triangles) == (len(targets) > 0)
+
+
+_coords = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@given(divisions=st.sampled_from(range(6, 25, 3)), rounds=st.integers(0, 4),
+       targets=st.lists(st.tuples(_coords, _coords), min_size=1, max_size=2))
+@example(divisions=6, rounds=3, targets=[(0.5, 0.5), (-1.25, 1.5)])  # in the hole, outside
+def test_refine_toward_matches_dict_oracle_random(divisions, rounds, targets):
+    _assert_refines_like_ref(generate_structured(*lshape(), 1.0 / divisions),
+                             targets, rounds)
+
+
+@pytest.mark.parametrize("targets, rounds", [
+    (np.zeros((1, 3)), 1),
+    ([], 1),
+    ((0.0, 0.0), 1),
+    ([(np.nan, 0.0)], 1),
+    ([(0.0, np.inf)], 1),
+    ([(0.0, 0.0)], -1),
+    ([(0.0, 0.0)], 1.0),
+])
+def test_refine_toward_rejects_bad_input(targets, rounds):
+    with pytest.raises(ValueError):
+        refine_toward(generate_structured(*lshape(), 1.0 / 6.0), targets, rounds)
 
 
 def grow_overlap_bfs(mesh, cell, layers):
