@@ -4,9 +4,9 @@ The main space takes piecewise-polynomial traces on the skeleton (nodal
 hats, plus quadratic edge bubbles for p = 2), extends each trace into the
 adjacent coarse cells as a discrete-harmonic function (solving the fine
 stiffness operator cell by cell with the trace as boundary data), and glues
-the cell pieces with partition-of-unity weights.  The resulting functions
-satisfy the fine-mesh equation away from the skeleton, which is what buys
-superconvergence on perforated geometries.
+the cell pieces by taking each skeleton value once from the trace.  The
+resulting functions satisfy the fine-mesh equation away from the skeleton,
+which is what buys superconvergence on perforated geometries.
 
 A Nicolaides-style space (one weighted indicator per connected component of
 each overlapping subdomain) is provided as the classical baseline.
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     GluingMismatch,
@@ -28,7 +29,7 @@ from .errors import (
     SingularLocalSystem,
 )
 from .geometry import snap
-from .mesh import connected_components
+from .mesh import _all_edges, _stacked
 from .numerics import Factorization
 
 
@@ -126,7 +127,6 @@ class CellCache:
 
     skeleton_fine: np.ndarray       # sorted mesh node ids on the skeleton
     slot_of_node: np.ndarray        # mesh node -> position in skeleton_fine (-1 off it)
-    multiplicity: np.ndarray        # per skeleton_fine node: number of owning cells
     cells: dict                     # cell id -> CellData
     buckets: _AxisBuckets = field(repr=False, default=None)
 
@@ -142,29 +142,28 @@ def build_cell_cache(mesh, system, skeleton):
     slot = np.full(mesh.n_points, -1, dtype=np.int64)
     slot[skeleton_fine] = np.arange(len(skeleton_fine))
 
-    mult = np.zeros(len(skeleton_fine), dtype=np.int64)
     cells = {}
     A_full = system.A_full.tocsr()
-    for j in np.unique(mesh.cell_of_triangle):
-        tris = mesh.triangles[mesh.cell_of_triangle == j]
-        nodes = np.unique(tris)
+    order = np.argsort(mesh.cell_of_triangle, kind="stable")
+    cell_ids, starts = np.unique(mesh.cell_of_triangle[order], return_index=True)
+    for j, tri_ids in zip(cell_ids.tolist(), np.split(order, starts[1:])):
+        nodes = np.unique(mesh.triangles[tri_ids])
         is_trace = on_skel[nodes]
         trace = nodes[is_trace]
         interior = nodes[~is_trace]
         if len(trace) == 0:
-            raise SingularLocalSystem(int(j), "cell touches no skeleton edge")
-        mult[slot[trace]] += 1
-        A_it = A_full[interior][:, trace].tocsr()
+            raise SingularLocalSystem(j, "cell touches no skeleton edge")
+        A_i = A_full[interior]
         if len(interior):
             try:
-                fact = Factorization(A_full[interior][:, interior], check_symmetry=False)
+                fact = Factorization(A_i[:, interior], check_symmetry=False)
             except NotPositiveDefinite as exc:
-                raise SingularLocalSystem(int(j), "interior operator is singular "
+                raise SingularLocalSystem(j, "interior operator is singular "
                                           "(node %d)" % interior[exc.index]) from exc
         else:
             fact = None
-        cells[int(j)] = CellData(int(j), nodes, trace, interior, is_trace, A_it, fact)
-    return CellCache(skeleton_fine, slot, mult, cells, buckets)
+        cells[j] = CellData(j, nodes, trace, interior, is_trace, A_i[:, trace].tocsr(), fact)
+    return CellCache(skeleton_fine, slot, cells, buckets)
 
 
 def harmonic_extension(cache, j, trace_values):
@@ -386,21 +385,29 @@ def build_trefftz(mesh, system, skeleton, p, cache=None):
 
 def build_nicolaides(mesh, system, overlap):
     """Partition-of-unity indicator space: one dof per connected component
-    of each overlapping subdomain, weighted by inverse multiplicity."""
-    dofmap = system.dofmap
-    weights = np.zeros(dofmap.n_free)
-    nz = overlap.multiplicity > 0
-    weights[nz] = 1.0 / overlap.multiplicity[nz]
-    ri, rj, rv = [], [], []
-    row = 0
-    for j in range(overlap.n_subdomains):
-        comps = connected_components(mesh, dofmap, overlap.dof_sets[j], overlap.tri_sets[j])
-        for comp in comps:
-            ri.extend([row] * len(comp))
-            rj.extend(comp.tolist())
-            rv.extend(weights[comp].tolist())
-            row += 1
-    R = coo_matrix((rv, (ri, rj)), shape=(row, dofmap.n_free)).tocsr()
+    of each overlapping subdomain, weighted by inverse multiplicity.
+
+    The components are labelled on the stacked subdomains that
+    `build_schwarz` factorizes, in one pass: each edge of subdomain j's
+    triangles with two free endpoints links their stacked slots, found by
+    one searchsorted on the ascending keys block * n_free + gather.  This
+    relies on `build_overlap` making dof_sets[j] exactly the free nodes of
+    tri_sets[j], so every such endpoint has a slot.  Components never cross
+    subdomains, and csgraph numbers them by their smallest vertex, so the
+    rows come subdomain by subdomain, then by smallest member.
+    """
+    n = system.dofmap.n_free
+    gather, block = _stacked(overlap.dof_sets)
+    tri_ids, tri_block = _stacked(overlap.tri_sets)
+    ends = system.dofmap.global_to_free[_all_edges(mesh.triangles[tri_ids])]
+    linked = (ends >= 0).all(axis=1)
+    keys = np.tile(tri_block, 3)[linked, None] * n + ends[linked]
+    slots = np.searchsorted(block * n + gather, keys)
+    graph = coo_matrix((np.ones(len(slots), dtype=np.int8), (slots[:, 0], slots[:, 1])),
+                       shape=(len(gather), len(gather)))
+    n_comp, labels = connected_components(graph, directed=False)
+    R = coo_matrix((1.0 / overlap.multiplicity[gather], (labels, gather)),
+                   shape=(n_comp, n)).tocsr()
     try:
         fact = Factorization((R @ system.A @ R.T).tocsc(), check_symmetry=False)
     except NotPositiveDefinite as exc:

@@ -172,9 +172,6 @@ class Skeleton:
     edges: list
     H: float
 
-    def node_position(self, i):
-        return self.nodes[i].position
-
     def edge_points(self, edge):
         a, b = edge.endpoints
         return self.nodes[a].position, self.nodes[b].position
@@ -182,12 +179,6 @@ class Skeleton:
     def edge_length(self, edge):
         (xa, ya), (xb, yb) = self.edge_points(edge)
         return ((xb - xa) ** 2 + (yb - ya) ** 2) ** 0.5
-
-    def total_length(self):
-        return sum(self.edge_length(e) for e in self.edges)
-
-    def free_nodes(self):
-        return [i for i, n in enumerate(self.nodes) if not n.constrained]
 
 
 def _blocked_intervals(perforations, axis, coord, lo, hi):
@@ -223,6 +214,17 @@ def _open_subsegments(lo, hi, blocked):
     if snap(hi) > snap(cur):
         segs.append((cur, hi))
     return segs
+
+
+def _constrained_skeleton(nodes, edges):
+    """Skeleton of `nodes` and `edges`, with every endpoint of an
+    on_dirichlet edge marked constrained (in place in `nodes`) and H the
+    longest edge length."""
+    for i in {i for e in edges if e.on_dirichlet for i in e.endpoints}:
+        nodes[i] = replace(nodes[i], constrained=True)
+    skel = Skeleton(nodes, edges, 0.0)
+    skel.H = max(skel.edge_length(e) for e in edges)
+    return skel
 
 
 def build_skeleton(domain, partition):
@@ -290,16 +292,7 @@ def build_skeleton(domain, partition):
         band = tuple(c for c in (i - 1, i) if 0 <= c < partition.ny)
         emit("h", y, partition.outer.x0, partition.outer.x1, i in (0, partition.ny), band)
 
-    constrained = set()
-    for e in edges:
-        if e.on_dirichlet:
-            constrained.update(e.endpoints)
-    for i in constrained:
-        nodes[i] = replace(nodes[i], constrained=True)
-
-    skel = Skeleton(nodes, edges, 0.0)
-    skel.H = max(skel.edge_length(e) for e in edges)
-    return skel
+    return _constrained_skeleton(nodes, edges)
 
 
 def refine_edges(skeleton, levels):
@@ -330,19 +323,7 @@ def refine_edges(skeleton, levels):
         for a, b in zip(ids[:-1], ids[1:]):
             edges.append(CoarseEdge((a, b), e.parent_interface,
                                     e.refinement_level + levels, e.on_dirichlet, e.cells))
-
-    if any(e.on_dirichlet for e in skeleton.edges):
-        constrained = set()
-        for e in edges:
-            if e.on_dirichlet:
-                constrained.update(e.endpoints)
-        for i in constrained:
-            if not nodes[i].constrained:
-                nodes[i] = replace(nodes[i], constrained=True)
-
-    skel = Skeleton(nodes, edges, 0.0)
-    skel.H = max(skel.edge_length(e) for e in edges)
-    return skel
+    return _constrained_skeleton(nodes, edges)
 
 
 def load_geometry(path):

@@ -452,7 +452,7 @@ def red_refine(mesh, levels=1):
 
 
 # ---------------------------------------------------------------------------
-# Overlapping subdomains and connectivity
+# Overlapping subdomains
 
 @dataclass
 class Overlap:
@@ -511,27 +511,8 @@ def build_overlap(mesh, dofmap, layers, n_cells=None):
     return Overlap(dof_sets, tri_sets, mult)
 
 
-def connected_components(mesh, dofmap, dofs, tri_subset=None):
-    """Connected components of a set of free dofs linked by mesh edges.
-
-    Only edges of triangles in `tri_subset` (all triangles when None) with
-    both endpoints among the given dofs count.  Returns a list of sorted
-    arrays of free-dof indices, ordered by their smallest member.
-    """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    if len(dofs) == 0:
-        return []
-    nd = len(dofs)
-    slot_of_node = np.full(mesh.n_points, -1, dtype=np.int64)
-    slot_of_node[dofmap.free_nodes[dofs]] = np.arange(nd)
-
-    tris = mesh.triangles if tri_subset is None else mesh.triangles[tri_subset]
-    edges = _all_edges(tris)
-    a = slot_of_node[edges[:, 0]]
-    b = slot_of_node[edges[:, 1]]
-    keep = (a >= 0) & (b >= 0)
-    g = coo_matrix((np.ones(keep.sum(), dtype=np.int8), (a[keep], b[keep])), shape=(nd, nd))
-    n_comp, labels = _cc(g, directed=False)
-    comps = [dofs[labels == k] for k in range(n_comp)]
-    comps.sort(key=lambda c: int(c.min()))
-    return comps
+def _stacked(sets):
+    """Per-subdomain index sets (an Overlap's dof_sets or tri_sets) stacked
+    subdomain after subdomain: the concatenated indices and the subdomain
+    of each entry."""
+    return np.concatenate(sets), np.repeat(np.arange(len(sets)), list(map(len, sets)))

@@ -17,6 +17,7 @@ from .coarse import CoarseSpace, coarse_approximation
 from .errors import Divergence
 from .fem import (AssembledSystem, NestedReference, error_norms, mass_matrix,
                   nested_reference, solve_fine)
+from .mesh import _stacked
 from .numerics import Factorization, GmresOptions, gmres
 
 REPORT_COLUMNS = "iter,res_norm,alg_err_L2,alg_err_H1,full_err_L2,full_err_H1"
@@ -48,8 +49,7 @@ def build_schwarz(system, overlap, coarse=None):
     dropped, and the block-diagonal rest is factorized once.  Empty
     subdomains contribute no rows.
     """
-    gather = np.concatenate(overlap.dof_sets)
-    block = np.repeat(np.arange(overlap.n_subdomains), [len(d) for d in overlap.dof_sets])
+    gather, block = _stacked(overlap.dof_sets)
     n_stack, n = len(gather), system.dofmap.n_free
     G = csr_matrix((np.ones(n_stack), (np.arange(n_stack), gather)), shape=(n_stack, n))
     GAG = (G @ system.A @ G.T).tocoo()

@@ -3,8 +3,8 @@
 The load-bearing oracles: dimension formulas counted by hand, dense
 A-orthogonal projection for the coarse Galerkin solve, exact reproduction
 of constants (and of linears on unperforated domains), discrete harmonicity
-of every basis function, and the partition-of-unity identity of the gluing
-weights.
+of every basis function, the row-by-row gluing of the Trefftz basis, and the
+per-subdomain component labelling of the Nicolaides space.
 """
 import dataclasses
 
@@ -14,7 +14,9 @@ from hypothesis import given, strategies as st
 from scipy.sparse import coo_matrix
 
 from test_acceptance import _small_instance
+from test_mesh import connected_components
 from trefftz_dd.errors import GluingMismatch, NodeOffSkeleton, RankDeficient
+from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
 from trefftz_dd.fem import assemble, solve_fine
 from trefftz_dd.geometry import (
     CoarsePartition,
@@ -94,15 +96,12 @@ def test_trace_values():
         assert bub.max() == pytest.approx(1.0)
 
 
-def test_partition_of_unity_weights_exact():
+def test_cell_traces_cover_the_skeleton():
     for setup in (lshape_setup, square_setup):
         _, _, mesh, system, skel = setup()
         cache = build_cell_cache(mesh, system, skel)
-        acc = np.zeros(len(cache.skeleton_fine))
-        for j, data in cache.cells.items():
-            slots = cache.slot_of_node[data.trace]
-            acc[slots] += 1.0 / cache.multiplicity[slots]
-        assert np.abs(acc - 1.0).max() <= 1e-15
+        traces = np.concatenate([data.trace for data in cache.cells.values()])
+        assert np.array_equal(np.unique(traces), cache.skeleton_fine)
 
 
 def test_basis_functions_discrete_harmonic():
@@ -241,6 +240,58 @@ def test_nicolaides_components_and_pu():
     ov2 = build_overlap(mesh2, system2.dofmap, 1, n_cells=3)
     space2 = build_nicolaides(mesh2, system2, ov2)
     assert space2.dim == 4
+
+
+def _nicolaides_R_reference(mesh, system, overlap):
+    """Reference: one connected-components call per subdomain, each
+    subdomain's components appended as rows in order of smallest member."""
+    dofmap = system.dofmap
+    weights = np.zeros(dofmap.n_free)
+    nz = overlap.multiplicity > 0
+    weights[nz] = 1.0 / overlap.multiplicity[nz]
+    ri, rj, rv = [], [], []
+    row = 0
+    for j in range(overlap.n_subdomains):
+        comps = connected_components(mesh, dofmap, overlap.dof_sets[j], overlap.tri_sets[j])
+        for comp in comps:
+            ri.extend([row] * len(comp))
+            rj.extend(comp.tolist())
+            rv.extend(weights[comp].tolist())
+            row += 1
+    return coo_matrix((rv, (ri, rj)), shape=(row, dofmap.n_free)).tocsr()
+
+
+def _assert_nicolaides_matches_reference(mesh, system, overlap):
+    got = build_nicolaides(mesh, system, overlap).R
+    want = _nicolaides_R_reference(mesh, system, overlap)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        got_a, want_a = getattr(got, name), getattr(want, name)
+        assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes(), name
+
+
+@given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((2, 4)),
+       ny=st.sampled_from((2, 4)), data=st.data())
+def test_nicolaides_matches_per_subdomain_reference_on_urban(seed, nx, ny, data):
+    # the draws of test_stacked_apply_matches_dense_on_urban: per-cell layers
+    # 0-3 and one extra cell without triangles, an empty subdomain
+    domain, part, mesh = _small_instance(seed, nx, ny)
+    system = assemble(mesh)
+    n_cells = part.n_cells + 1
+    layers = data.draw(st.lists(st.integers(0, 3), min_size=n_cells, max_size=n_cells))
+    ov = build_overlap(mesh, system.dofmap, layers, n_cells=n_cells)
+    assert len(ov.dof_sets[-1]) == 0
+    _assert_nicolaides_matches_reference(mesh, system, ov)
+
+
+def test_nicolaides_matches_per_subdomain_reference_on_urban_16x16():
+    domain = generate_urban_synthetic(1, 640.0, 2.5, 24, 12)
+    part = CoarsePartition(domain.outer, 16, 16)
+    mesh = generate_structured(domain, part, 2.5)
+    system = assemble(mesh)
+    ov = build_overlap(mesh, system.dofmap, overlap_layers(part, 2.5, "min"),
+                       n_cells=part.n_cells)
+    _assert_nicolaides_matches_reference(mesh, system, ov)
 
 
 def test_nicolaides_rank_deficiency_detected():

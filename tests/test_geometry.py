@@ -77,9 +77,9 @@ def test_unit_square_2x2_skeleton():
     assert len(interior) == 4 and len(boundary) == 8
     assert skel.H == pytest.approx(0.5)
     assert len(skel.nodes) == 9
-    free = skel.free_nodes()
+    free = [n for n in skel.nodes if not n.constrained]
     assert len(free) == 1
-    assert skel.node_position(free[0]) == pytest.approx((0.5, 0.5))
+    assert free[0].position == pytest.approx((0.5, 0.5))
     # every interior edge borders exactly two cells, boundary edges one
     assert all(len(e.cells) == 2 for e in interior)
     assert all(len(e.cells) == 1 for e in boundary)
@@ -90,7 +90,7 @@ def test_lshape_3x3_skeleton():
     skel = build_skeleton(domain, part)
     interior = [e for e in skel.edges if not e.on_dirichlet]
     assert len(interior) == 10
-    free = sorted(skel.node_position(i) for i in skel.free_nodes())
+    free = sorted(n.position for n in skel.nodes if not n.constrained)
     third = 1.0 / 3.0
     expect = sorted([(-third, -third), (-third, third), (third, -third),
                      (third, 0.0), (0.0, third)])
@@ -165,7 +165,8 @@ def test_refine_edges():
     skel = build_skeleton(domain, part)
     ref = refine_edges(skel, 2)
     assert len(ref.edges) == 4 * len(skel.edges)
-    assert ref.total_length() == pytest.approx(skel.total_length(), rel=1e-12)
+    assert (sum(ref.edge_length(e) for e in ref.edges)
+            == pytest.approx(sum(skel.edge_length(e) for e in skel.edges), rel=1e-12))
     assert ref.H == pytest.approx(skel.H / 4)
     # original nodes keep ids, split nodes are appended
     for i, n in enumerate(skel.nodes):
@@ -179,7 +180,7 @@ def test_refine_edges():
     for e in ref.edges:
         if e.on_dirichlet:
             assert all(ref.nodes[i].constrained for i in e.endpoints)
-    assert len(ref.free_nodes()) == 5 + 10 * (4 - 1)
+    assert sum(not n.constrained for n in ref.nodes) == 5 + 10 * (4 - 1)
     assert refine_edges(skel, 0) is skel
 
 

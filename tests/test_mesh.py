@@ -8,7 +8,8 @@ Python breadth-first search / union-find reimplementations.
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components as _cc
 
 from test_acceptance import _small_instance
 from trefftz_dd import mesh as mesh_module
@@ -28,7 +29,6 @@ from trefftz_dd.mesh import (
     assign_cells,
     build_dofmap,
     build_overlap,
-    connected_components,
     generate_structured,
     red_refine,
     refine_toward,
@@ -613,6 +613,33 @@ def test_per_cell_layers():
     assert sizes[1] > sizes[0] and sizes[3] > sizes[1]
     with pytest.raises(ValueError):
         build_overlap(mesh, dofmap, [1, 2], n_cells=4)
+
+
+def connected_components(mesh, dofmap, dofs, tri_subset=None):
+    """Reference: connected components of a set of free dofs linked by mesh
+    edges, one csgraph call per set.
+
+    Only edges of triangles in `tri_subset` (all triangles when None) with
+    both endpoints among the given dofs count.  Returns a list of sorted
+    arrays of free-dof indices, ordered by their smallest member.
+    """
+    dofs = np.asarray(dofs, dtype=np.int64)
+    if len(dofs) == 0:
+        return []
+    nd = len(dofs)
+    slot_of_node = np.full(mesh.n_points, -1, dtype=np.int64)
+    slot_of_node[dofmap.free_nodes[dofs]] = np.arange(nd)
+
+    tris = mesh.triangles if tri_subset is None else mesh.triangles[tri_subset]
+    edges = mesh_module._all_edges(tris)
+    a = slot_of_node[edges[:, 0]]
+    b = slot_of_node[edges[:, 1]]
+    keep = (a >= 0) & (b >= 0)
+    g = coo_matrix((np.ones(keep.sum(), dtype=np.int8), (a[keep], b[keep])), shape=(nd, nd))
+    n_comp, labels = _cc(g, directed=False)
+    comps = [dofs[labels == k] for k in range(n_comp)]
+    comps.sort(key=lambda c: int(c.min()))
+    return comps
 
 
 def components_union_find(mesh, dofmap, dofs, tri_subset):
