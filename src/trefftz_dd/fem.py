@@ -3,7 +3,10 @@
 Assembles -Laplace(u) = f with homogeneous Neumann data on perforation
 walls and Dirichlet data g on the outer boundary, eliminating constrained
 nodes but keeping the full matrices around: the coarse spaces need the
-unconstrained operator cell by cell.
+unconstrained operator cell by cell.  The stiffness matrix stores no exact
+zeros: on the right-triangle grids built here the coupling across each
+hypotenuse, -cot(90 deg)/2, cancels to 0.0, and leaving it out keeps it out
+of every sparse product and fill-reducing ordering downstream.
 
 Error integrals use a 4x4 Gauss product rule on the Duffy square (exact
 through total degree 7), so quadrature error stays far below every
@@ -53,13 +56,18 @@ def _geometry(mesh):
 
 
 def stiffness_matrix(mesh):
-    """Unconstrained stiffness matrix over all mesh nodes (csr)."""
+    """Unconstrained stiffness matrix over all mesh nodes (csr).
+
+    Entries whose element contributions sum to exactly 0.0, such as the
+    hypotenuse couplings of right triangles, are not stored.
+    """
     _, area, b, c = _geometry(mesh)
     K = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
     i = np.repeat(mesh.triangles, 3, axis=1).ravel()
     j = np.tile(mesh.triangles, (1, 3)).ravel()
-    A = coo_matrix((K.ravel(), (i, j)), shape=(mesh.n_points, mesh.n_points))
-    return A.tocsr()
+    A = coo_matrix((K.ravel(), (i, j)), shape=(mesh.n_points, mesh.n_points)).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def mass_matrix(mesh):
@@ -163,12 +171,18 @@ def _check_nested(mesh, ref_mesh, P):
         raise MeshNotNested("reference mesh is not a refinement of the field's mesh")
 
 
-def nested_reference(mesh, ref_mesh, ref_field, P):
+def nested_reference(mesh, ref_mesh, ref_field, P, A=None):
     """Check that `mesh` is nested in ref_mesh under P, then assemble the
-    reference operators and norms once for repeated `error_norms` calls."""
+    reference operators and norms once for repeated `error_norms` calls.
+
+    A is `stiffness_matrix(ref_mesh)` when the caller has assembled it
+    already, as the reference system's `A_full`; it is assembled here when
+    None.
+    """
     _check_nested(mesh, ref_mesh, P)
     M = mass_matrix(ref_mesh)
-    A = stiffness_matrix(ref_mesh)
+    if A is None:
+        A = stiffness_matrix(ref_mesh)
     return NestedReference(ref_mesh, ref_field, P, M, A,
                            np.sqrt(ref_field @ (M @ ref_field)),
                            np.sqrt(ref_field @ (A @ ref_field)))

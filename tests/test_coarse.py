@@ -1,7 +1,8 @@
 """Coarse space tests.
 
 The load-bearing oracles: dimension formulas counted by hand, dense
-A-orthogonal projection for the coarse Galerkin solve, exact reproduction
+A-orthogonal projection for the coarse Galerkin solve and dense solves of
+the cell interiors (also on random urban draws), exact reproduction
 of constants (and of linears on unperforated domains), discrete harmonicity
 of every basis function, the row-by-row gluing of the Trefftz basis, and the
 per-subdomain component labelling of the Nicolaides space.
@@ -435,6 +436,47 @@ def test_extend_rows_matches_row_loop_on_urban(seed, nx, ny, p):
     cache = build_cell_cache(mesh, system, skel)
     _assert_rows_match_reference(mesh, system, cache, skel, p)
     _assert_buckets_match(mesh.points)
+
+
+@given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((2, 4)),
+       ny=st.sampled_from((2, 4)), p=st.sampled_from((1, 2)))
+def test_coarse_solves_match_dense_on_urban(seed, nx, ny, p):
+    # the draws of test_extend_rows_matches_row_loop_on_urban, with a random
+    # load and homogeneous Dirichlet data, so no lift offsets the solves
+    domain, part, mesh = _small_instance(seed, nx, ny)
+    rng = np.random.default_rng(seed)
+    f_vals = rng.standard_normal(mesh.n_points)
+    system = assemble(mesh, f=lambda pts: f_vals)
+    skel = build_skeleton(domain, part)
+    cache = build_cell_cache(mesh, system, skel)
+    A_full, A = system.A_full.toarray(), system.A.toarray()
+
+    # harmonic extension of a random trace = dense solve of the cell interior
+    for j, data in cache.cells.items():
+        g = rng.standard_normal(len(data.trace))
+        ext = harmonic_extension(cache, j, g)
+        assert np.array_equal(ext[data.trace_mask], g)
+        A_ii = A_full[np.ix_(data.interior, data.interior)]
+        A_it = A_full[np.ix_(data.interior, data.trace)]
+        want = np.linalg.solve(A_ii, -A_it @ g) if len(data.interior) else np.empty(0)
+        assert np.abs(ext[~data.trace_mask] - want).max(initial=0.0) \
+            <= 1e-10 * max(1.0, np.abs(want).max(initial=0.0)), j
+
+    overlap = build_overlap(mesh, system.dofmap, 1, n_cells=part.n_cells)
+    for space in (build_trefftz(mesh, system, skel, p, cache),
+                  build_nicolaides(mesh, system, overlap)):
+        # A_H = R A R^T is symmetric positive definite
+        R = space.R.toarray()
+        A_H = R @ A @ R.T
+        assert np.abs(A_H - A_H.T).max() <= 1e-13 * np.abs(A_H).max()
+        eig = np.linalg.eigvalsh(A_H)
+        assert eig[0] > 1e-12 * eig[-1], space.kind
+        # the Galerkin solve in span R, against the dense one
+        u = coarse_approximation(system, space)
+        assert not u[system.dofmap.dirichlet_nodes].any()
+        want = R.T @ np.linalg.solve(A_H, R @ system.f)
+        err = system.restrict(u) - want
+        assert np.sqrt(err @ A @ err) <= 1e-10 * np.sqrt(want @ A @ want), space.kind
 
 
 def test_extend_rows_matches_row_loop_on_graded_lshape():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from trefftz_dd import coarse, experiments, schwarz
+from trefftz_dd import coarse, experiments, fem, schwarz
 from trefftz_dd.coarse import build_cell_cache, build_trefftz, coarse_approximation
 from trefftz_dd.errors import PlacementFailure
 from trefftz_dd.experiments import (
@@ -203,6 +203,18 @@ def test_nicolaides_study_builds_once_per_overlap(tmp_path, monkeypatch):
     assert len((tmp_path / "study_summary.csv").read_text().splitlines()) == 9
 
 
+def test_urban_study_assembles_the_reference_once(monkeypatch):
+    # the monitor's nested reference reuses the reference system's A_full
+    calls = _count_calls(monkeypatch, (fem, "stiffness_matrix"))
+    reports = run_solver_study(ExperimentConfig(
+        geometry="urban", seed=2, extent=80.0, pitch=2.5, n_buildings=4,
+        n_walls=2, nx=2, ny=2, overlap=("min",), method=("gmres",), tol=1e-6,
+        reference_levels=1))
+    assert calls == {"stiffness_matrix": 2}      # fine mesh, reference mesh
+    report = reports[("gmres", "min", 1, 0)]
+    assert report.converged and np.isfinite(report.rows[-1][4:]).all()
+
+
 def test_solver_study_rejects_unknown_space_and_method(tmp_path):
     base = dict(geometry="lshape", nx=3, ny=3, pitch=1.0 / 24.0,
                 outdir=str(tmp_path))
@@ -248,12 +260,19 @@ def test_scalability_builds_each_fine_problem_once(monkeypatch):
     calls = _count_calls(monkeypatch,
                          (experiments, "generate_urban_synthetic"),
                          (experiments, "assemble"), (schwarz, "solve_fine"),
-                         (experiments, "build_cell_cache"))
+                         (experiments, "build_cell_cache"),
+                         (experiments, "build_schwarz"))
     rows = run_scalability(seed=2, n_values=(4, 16), extent=80.0, pitch=2.5,
                            n_buildings=4, n_walls=2, tol=1e-6)
     assert len(rows) == 16
+    # at 80 m both overlap rules give one layer for N = 4 and 16, so each
+    # (walls, N) builds one Schwarz context and writes its rows twice
     assert calls == {"generate_urban_synthetic": 2, "assemble": 2,
-                     "solve_fine": 2, "build_cell_cache": 4}
+                     "solve_fine": 2, "build_cell_cache": 4, "build_schwarz": 4}
+    for k in range(0, len(rows), 4):     # per (walls, N): min rows, h20 rows
+        for m, h in zip(rows[k:k + 2], rows[k + 2:k + 4]):
+            assert (m[2], h[2]) == ("min", "h20")
+            assert m[:2] + m[3:] == h[:2] + h[3:]
 
 
 def test_scalability_rejects_partition_off_the_pitch_grid(monkeypatch):

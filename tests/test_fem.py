@@ -2,18 +2,23 @@
 
 Oracles: factorial formula for monomial integrals over the reference
 triangle, edge-midpoint quadrature and per-triangle gradient solves for the
-bilinear forms, finite differences for the benchmark solution, and the
-patch test for exactness on linear fields.
+bilinear forms, the plain COO sum for the stiffness matrix without its
+exact zeros, dense solves for the fine system, finite differences for the
+benchmark solution, and the patch test for exactness on linear fields.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse import coo_matrix
 
+from test_acceptance import _small_instance
 from trefftz_dd.errors import DegenerateTriangle, MeshNotNested
 from trefftz_dd.fem import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
+    _geometry,
     assemble,
     error_norms,
     exact_lshape,
@@ -22,7 +27,8 @@ from trefftz_dd.fem import (
     stiffness_matrix,
 )
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
-from trefftz_dd.mesh import DIRICHLET, Triangulation, build_dofmap, generate_structured, red_refine
+from trefftz_dd.mesh import (DIRICHLET, Triangulation, build_dofmap, generate_structured,
+                             red_refine, refine_toward)
 
 
 def unit_square_mesh(pitch, nx=1, ny=1):
@@ -73,6 +79,49 @@ def test_bilinear_forms_match_handrolled_integrals():
             stiff += area * float(gv @ gw)
         assert abs(v @ (M @ w) - mass) <= 1e-12 * abs(mass)
         assert abs(v @ (A @ w) - stiff) <= 1e-10 * max(1.0, abs(stiff))
+
+
+def _stiffness_coo_sum(mesh):
+    """Reference: the element matrices summed by COO -> CSR, with every
+    entry kept, the exact zeros of cancelling couplings included."""
+    _, area, b, c = _geometry(mesh)
+    K = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
+    i = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    j = np.tile(mesh.triangles, (1, 3)).ravel()
+    return coo_matrix((K.ravel(), (i, j)), shape=(mesh.n_points, mesh.n_points)).tocsr()
+
+
+#: one mesh of each kind the pipeline assembles on
+MESH_KINDS = {
+    "structured": lambda: lshape_mesh(1.0 / 6.0),
+    "red_refined": lambda: red_refine(lshape_mesh(1.0 / 6.0), 1)[0],
+    "graded": lambda: refine_toward(lshape_mesh(1.0 / 12.0), np.array([[0.0, 0.0]]), 3),
+    "urban": lambda: _small_instance(7)[2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESH_KINDS))
+def test_stiffness_matrix_stores_no_zeros(kind):
+    mesh = MESH_KINDS[kind]()
+    A = stiffness_matrix(mesh)
+    want = _stiffness_coo_sum(mesh)
+    assert (want.data == 0).sum() > 0     # right-triangle hypotenuse couplings
+    assert (A.data == 0).sum() == 0
+    assert A.nnz == (want.data != 0).sum()
+    dense, want_dense = A.toarray(), want.toarray()
+    assert dense.dtype == want_dense.dtype and dense.tobytes() == want_dense.tobytes()
+    # so do the matrices of the assembled system
+    system = assemble(mesh, f=1.0)
+    assert (system.A.data == 0).sum() == 0 and (system.A_full.data == 0).sum() == 0
+
+
+@given(seed=st.integers(0, 2 ** 16))
+def test_solve_fine_matches_dense_solve_on_urban(seed):
+    _, _, mesh = _small_instance(seed)
+    system = assemble(mesh, f=1.0)
+    u = system.restrict(solve_fine(system))
+    want = np.linalg.solve(system.A.toarray(), system.f)
+    assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_patch_test_linear_exactness():
