@@ -1,18 +1,19 @@
 """Paired parent/change benchmark runs, summarised as one BENCH_<N>.json.
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --out BENCH_N.json
-        --note TEXT [--pairs 10] [--first-seed 101] [--workloads NAME ...]
+        --note TEXT
 
 Run from a git checkout.  Both revisions are exported with `git archive`
 into `.bench_build/<commit>/`, so each side runs its own committed sources
 with its own copy of the benchmark, and nothing uncommitted is measured.
-For each workload, pair i runs `benchmarks/run.py --workload W --seed S`
-(untraced, at the benchmark's default run length) once on each side with
-seed S = first_seed + i; even pairs run the parent first and odd pairs the
-change first, so drift on a shared host falls on both sides alike.  Then
-each side makes one traced run at seed 1, the parent first, for the
-per-layer figures; one run per side resolves no per-layer change smaller
-than the run-to-run spread of a traced run.
+For every workload in BENCHMARK.json, pair i of the PAIRS pairs runs
+`benchmarks/run.py --workload W --seed S` (untraced, at the benchmark's
+default run length) once on each side with seed S = FIRST_SEED + i; even
+pairs run the parent first and odd pairs the change first, so drift on a
+shared host falls on both sides alike.  Then each side makes one traced run
+at seed 1, the parent first, for the per-layer figures; one run per side
+resolves no per-layer change smaller than the run-to-run spread of a traced
+run.
 
 The output holds, per workload and end-to-end metric, each side's median
 and inclusive quartiles over its runs, the relative change of the medians
@@ -31,6 +32,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def git(*args):
@@ -112,21 +115,18 @@ def main(argv=None):
     parser.add_argument("--change", default="HEAD", help="change revision")
     parser.add_argument("--out", required=True, help="BENCH_<N>.json to write")
     parser.add_argument("--note", required=True, help="one line: what the change does")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--workloads", nargs="+", default=None)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
     if any(m.get("better", "lower") != "lower" for m in bench["end_to_end"]):
         raise SystemExit("change_wins assumes every end-to-end metric is "
                          "better when lower")
     timeout = 10 * bench.get("run_seconds", 60)
     sides = dict(zip(("parent", "change"), (export(args.parent), export(args.change))))
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
 
     doc = {"change": args.note,
            "command": "python3 benchmarks/run.py --workload NAME --seed SEED "
