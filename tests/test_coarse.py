@@ -12,11 +12,13 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse.linalg import splu
 
 from test_acceptance import _small_instance
 from test_mesh import connected_components
-from trefftz_dd.errors import GluingMismatch, NodeOffSkeleton, RankDeficient
+from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
+                               SingularLocalSystem)
 from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
 from trefftz_dd.fem import assemble, solve_fine
 from trefftz_dd.geometry import (
@@ -339,11 +341,40 @@ def test_node_off_skeleton():
         build_trace_basis(mesh, ref, 1, cache)
 
 
+def _cell_solvers(mesh, system, cache):
+    """Per-cell reference solvers, made here from A_full and the mesh alone:
+    cell j -> (nodes, trace mask, extend), where extend(g) solves the cell's
+    own interior block of A_full (one SuperLU factor per cell, in the SPD
+    setting of the package) for the harmonic extension of trace values g."""
+    A_full = system.A_full.tocsr()
+    on_skeleton = cache.slot_of_node >= 0
+    solvers = {}
+    for j in np.unique(mesh.cell_of_triangle).tolist():
+        nodes = np.unique(mesh.triangles[mesh.cell_of_triangle == j])
+        mask = on_skeleton[nodes]
+        trace, interior = nodes[mask], nodes[~mask]
+        A_i = A_full[interior]
+        lu = splu(csc_matrix(A_i[:, interior]), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True}) \
+            if len(interior) else None
+
+        def extend(g, mask=mask, lu=lu, A_it=A_i[:, trace]):
+            out = np.empty(len(mask))
+            out[mask] = g
+            if lu is not None:
+                out[~mask] = lu.solve(-(A_it @ g))
+            return out
+        solvers[j] = (nodes, mask, extend)
+    return solvers
+
+
 def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
-    """Row-by-row gluing: one harmonic extension per (row, cell), checking
-    on every write that no node is interior to two cells and that cells
-    agree on shared trace nodes."""
+    """Row-by-row gluing: one harmonic extension per (row, cell) by the
+    per-cell solvers of `_cell_solvers`, checking on every write that no
+    node is interior to two cells and that cells agree on shared trace
+    nodes."""
     dofmap = system.dofmap
+    solvers = _cell_solvers(mesh, system, cache)
     ri, rj, rv = [], [], []
     phi = np.zeros(mesh.n_points)
     written = np.zeros(mesh.n_points, dtype=np.int8)
@@ -351,19 +382,19 @@ def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
         tr = np.asarray(trace_rows[row].todense()).ravel()
         touched = []
         for j in support_cells[row]:
-            data = cache.cells[j]
-            ext = harmonic_extension(cache, j, tr[cache.slot_of_node[data.trace]])
-            for nodes, piece, flag in ((data.trace, ext[data.trace_mask], 1),
-                                       (data.interior, ext[~data.trace_mask], 2)):
-                prev = written[nodes]
+            nodes, mask, extend = solvers[j]
+            ext = extend(tr[cache.slot_of_node[nodes[mask]]])
+            for flag, part in ((1, mask), (2, ~mask)):
+                sub, piece = nodes[part], ext[part]
+                prev = written[sub]
                 if flag == 2 and (prev == 2).any():
                     raise GluingMismatch("interior node written by two cells")
                 mism = prev > 0
-                if mism.any() and np.abs(phi[nodes[mism]] - piece[mism]).max() > 1e-9:
+                if mism.any() and np.abs(phi[sub[mism]] - piece[mism]).max() > 1e-9:
                     raise GluingMismatch("cell extensions disagree on the skeleton")
-                phi[nodes] = piece
-                written[nodes] = flag
-            touched.append(data.nodes)
+                phi[sub] = piece
+                written[sub] = flag
+            touched.append(nodes)
         if touched:
             nodes = np.unique(np.concatenate(touched))
             free = dofmap.global_to_free[nodes]
@@ -511,3 +542,56 @@ def test_interior_node_shared_by_two_cells_raises():
     bad = dataclasses.replace(mesh, cell_of_triangle=cells)
     with pytest.raises(GluingMismatch):
         build_trefftz(bad, system, skel, 1)
+
+
+def _with_added_entries(system, rows, cols, vals):
+    """The system with vals added to A_full at (rows, cols)."""
+    delta = coo_matrix((vals, (rows, cols)), shape=system.A_full.shape)
+    return dataclasses.replace(system, A_full=(system.A_full + delta).tocsr())
+
+
+@pytest.mark.parametrize("cell", [2, 3])
+def test_singular_interior_names_its_cell(cell):
+    _, _, mesh, system, skel = square_setup()
+    cache = build_cell_cache(mesh, system, skel)
+    nodes = np.unique(mesh.triangles[mesh.cell_of_triangle == cell])
+    a, b = nodes[cache.slot_of_node[nodes] < 0][:2]
+    diag = system.A_full.diagonal()
+    # a nonpositive diagonal entry, caught before the factorization
+    bad = _with_added_entries(system, [a], [a], [-2.0 * diag[a]])
+    with pytest.raises(SingularLocalSystem) as exc:
+        build_cell_cache(mesh, bad, skel)
+    assert exc.value.cell == cell
+    assert "diagonal" in str(exc.value.__cause__)
+    # a positive diagonal but an indefinite 2x2 principal minor: only a
+    # nonpositive pivot of the factorization shows it
+    big = 10.0 * diag.max()
+    bad = _with_added_entries(system, [a, b], [b, a], [big, big])
+    assert (bad.A_full.diagonal() > 0).all()
+    with pytest.raises(SingularLocalSystem) as exc:
+        build_cell_cache(mesh, bad, skel)
+    assert exc.value.cell == cell
+    assert "pivot" in str(exc.value.__cause__)
+
+
+def test_floating_interior_names_its_cell():
+    # cut cell 1's interior off from its trace and make the cut-off block a
+    # Neumann operator (rows summing to zero): SuperLU meets an exactly zero
+    # pivot and names no column, so the cell comes from the cut itself
+    _, _, mesh, system, skel = square_setup()
+    cache = build_cell_cache(mesh, system, skel)
+    nodes = np.unique(mesh.triangles[mesh.cell_of_triangle == 1])
+    inner = nodes[cache.slot_of_node[nodes] < 0]
+    A = system.A_full.tocoo()
+    cut = np.isin(A.row, inner) != np.isin(A.col, inner)
+    keep = ~cut
+    rows, cols, vals = A.row[keep], A.col[keep], A.data[keep]
+    lost = np.bincount(A.row[cut], A.data[cut], minlength=mesh.n_points)
+    bad = dataclasses.replace(system, A_full=coo_matrix(
+        (np.concatenate([vals, lost]),
+         (np.concatenate([rows, np.arange(mesh.n_points)]),
+          np.concatenate([cols, np.arange(mesh.n_points)]))),
+        shape=A.shape).tocsr())
+    with pytest.raises(SingularLocalSystem) as exc:
+        build_cell_cache(mesh, bad, skel)
+    assert exc.value.cell == 1
