@@ -2,9 +2,10 @@
 
 The main space takes piecewise-polynomial traces on the skeleton (nodal
 hats, plus quadratic edge bubbles for p = 2), extends each trace into the
-adjacent coarse cells as a discrete-harmonic function (solving the fine
-stiffness operator cell by cell with the trace as boundary data), and glues
-the cell pieces by taking each skeleton value once from the trace.  The
+adjacent coarse cells as a discrete-harmonic function (the fine stiffness
+operator on the cell interiors, with the trace as boundary data, solved for
+every trace and cell at once by one factorization), and glues the cell
+pieces by taking each skeleton value once from the trace.  The
 resulting functions satisfy the fine-mesh equation away from the skeleton,
 which is what buys superconvergence on perforated geometries.
 
@@ -104,30 +105,28 @@ def _edge_node_lists(mesh, skeleton, buckets):
 
 
 # ---------------------------------------------------------------------------
-# Cell-local solvers
-
-@dataclass
-class CellData:
-    cell: int
-    nodes: np.ndarray      # all mesh nodes of the cell's triangles (sorted)
-    trace: np.ndarray      # the skeleton part of those nodes (sorted)
-    interior: np.ndarray   # the rest (sorted)
-    trace_mask: np.ndarray  # boolean mask of trace entries within nodes
-    A_it: csr_matrix       # interior x trace coupling
-    fact: Factorization | None  # interior solver; None when no interior nodes
-
+# The cell interiors
 
 @dataclass
 class CellCache:
-    """Skeleton location data plus one local factorization per coarse cell.
+    """Skeleton location data plus one factorization of all cell interiors.
 
-    Depends only on the mesh and the skeleton's geometry, so one cache
-    serves every trace degree p and every edge-refinement level r.
+    The mesh nodes off the skeleton are the interiors of the coarse cells,
+    listed cell after cell.  Two cells couple only through the skeleton,
+    so A_II, the block of A_full on those nodes, is block diagonal, and one
+    factorization of it solves every cell at once: the discrete-harmonic
+    extension of skeleton values g is -A_II^{-1} A_IΓ g (substructuring, as
+    in Smith, Bjørstad & Gropp, Domain Decomposition, 1996).  Depends only
+    on the mesh and the skeleton's geometry, so one cache serves every
+    trace degree p and every edge-refinement level r.
     """
 
     skeleton_fine: np.ndarray       # sorted mesh node ids on the skeleton
     slot_of_node: np.ndarray        # mesh node -> position in skeleton_fine (-1 off it)
-    cells: dict                     # cell id -> CellData
+    interior: np.ndarray            # interior node ids, by cell, then ascending
+    interior_cell: np.ndarray       # the cell of each interior node (ascending)
+    A_it: csr_matrix                # A_IΓ: interior x skeleton_fine coupling
+    fact: Factorization             # of A_II, interior x interior
     buckets: _AxisBuckets = field(repr=False, default=None)
 
 
@@ -135,52 +134,69 @@ def build_cell_cache(mesh, system, skeleton):
     buckets = _AxisBuckets(mesh.points)
     on_skel = np.zeros(mesh.n_points, dtype=bool)
     for e in skeleton.edges:
-        pa, pb = skeleton.edge_points(e)
-        ids, _ = buckets.on_segment(pa, pb)
+        ids, _ = buckets.on_segment(*skeleton.edge_points(e))
         on_skel[ids] = True
     skeleton_fine = np.flatnonzero(on_skel)
     slot = np.full(mesh.n_points, -1, dtype=np.int64)
     slot[skeleton_fine] = np.arange(len(skeleton_fine))
 
-    cells = {}
-    A_full = system.A_full.tocsr()
-    order = np.argsort(mesh.cell_of_triangle, kind="stable")
-    cell_ids, starts = np.unique(mesh.cell_of_triangle[order], return_index=True)
-    for j, tri_ids in zip(cell_ids.tolist(), np.split(order, starts[1:])):
-        nodes = np.unique(mesh.triangles[tri_ids])
-        is_trace = on_skel[nodes]
-        trace = nodes[is_trace]
-        interior = nodes[~is_trace]
-        if len(trace) == 0:
-            raise SingularLocalSystem(j, "cell touches no skeleton edge")
-        A_i = A_full[interior]
-        if len(interior):
-            try:
-                fact = Factorization(A_i[:, interior], check_symmetry=False)
-            except NotPositiveDefinite as exc:
-                raise SingularLocalSystem(j, "interior operator is singular "
-                                          "(node %d)" % interior[exc.index]) from exc
-        else:
-            fact = None
-        cells[j] = CellData(j, nodes, trace, interior, is_trace, A_i[:, trace].tocsr(), fact)
-    return CellCache(skeleton_fine, slot, cells, buckets)
+    # the (cell, node) pairs of the triangle corners, ascending
+    n = mesh.n_points
+    keys = np.repeat(mesh.cell_of_triangle.astype(np.int64), 3) * n + mesh.triangles.ravel()
+    cell, node = np.divmod(np.unique(keys), n)
+    bare = np.setdiff1d(cell, cell[on_skel[node]])
+    if len(bare):
+        raise SingularLocalSystem(int(bare[0]), "cell touches no skeleton edge")
+    inner = ~on_skel[node]
+    interior, interior_cell = node[inner], cell[inner]
+    if np.bincount(interior, minlength=n).max() > 1:
+        raise GluingMismatch("a node is interior to two cells")
+    A_i = system.A_full.tocsr()[interior]
+    A_ii, A_it = A_i[:, interior], A_i[:, skeleton_fine]
+    try:
+        fact = Factorization(A_ii)
+    except NotPositiveDefinite as exc:
+        k = exc.index
+        if k < 0:  # an exactly zero pivot names no column: name a node of an
+            # interior component that couples to no skeleton node instead
+            _, label = connected_components(A_ii, directed=False)
+            floating = np.flatnonzero(~np.isin(label, label[A_it.getnnz(axis=1) > 0]))
+            k = floating[0] if len(floating) else -1
+        raise SingularLocalSystem(int(interior_cell[k]), "interior operator is "
+                                  "singular (node %d)" % interior[k]) from exc
+    return CellCache(skeleton_fine, slot, interior, interior_cell, A_it, fact, buckets)
 
 
-def harmonic_extension(cache, j, trace_values):
-    """Discrete-harmonic extension into cell j of values on its trace nodes.
+def _extend_interior(cache, traces, support_cells):
+    """Harmonic extensions of trace rows into their support cells, from one
+    multi-RHS solve of A_II.
 
-    `trace_values` is indexed like cache.cells[j].trace: a vector, or an
-    (n_trace, k) block of k traces extended by one multi-RHS solve.  Returns
-    values on cache.cells[j].nodes (same order), shaped (n_nodes,) or
-    (n_nodes, k).
+    Row s of the sparse `traces` (k x len(skeleton_fine)) is extended into
+    the interiors of the cells support_cells[s].  Each (cell, row) pair
+    takes the column given by the row's rank among its cell's rows, so the
+    cells share columns and the solve has as many as the busiest cell has
+    rows.  The entries of -A_IΓ traces' whose (cell, row) pair is supported
+    fill those columns, found by one searchsorted on the ascending keys
+    cell * k + row.  Returns (row, position in cache.interior, value) for
+    every interior node of every supported pair.
     """
-    data = cache.cells[j]
-    trace_values = np.asarray(trace_values, dtype=float)
-    out = np.empty((len(data.nodes),) + trace_values.shape[1:])
-    out[data.trace_mask] = trace_values
-    if data.fact is not None:
-        out[~data.trace_mask] = data.fact.solve(-(data.A_it @ trace_values))
-    return out
+    k = traces.shape[0]
+    cells = np.concatenate([np.empty(0, dtype=np.int64), *support_cells])
+    pairs = np.sort(cells * k + np.repeat(np.arange(k), list(map(len, support_cells))))
+    pair_cell = pairs // k
+    col = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
+    rhs = (cache.A_it @ traces.T).tocoo()
+    key = cache.interior_cell[rhs.row] * k + rhs.col
+    hit = np.isin(key, pairs)
+    B = np.zeros((len(cache.interior), col.max(initial=-1) + 1), order="F")
+    B[rhs.row[hit], col[np.searchsorted(pairs, key[hit])]] = -rhs.data[hit]
+    X = cache.fact.solve(B)
+
+    lo = np.searchsorted(cache.interior_cell, pair_cell, side="left")
+    count = np.searchsorted(cache.interior_cell, pair_cell, side="right") - lo
+    pair = np.repeat(np.arange(len(pairs)), count)
+    pos = np.arange(len(pair)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return pairs[pair] % k, pos, X[pos, col[pair]]
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +302,20 @@ class CoarseSpace:
         return self.R.T @ self.fact.solve(self.R @ r_free)
 
 
-def _extend_rows(mesh, system, cache, trace_rows, support_cells):
-    """Glue cell-by-cell harmonic extensions of the trace rows.
+def _extend_rows(system, cache, trace_rows, support_cells):
+    """Glue the harmonic extensions of the trace rows into basis functions.
 
     Returns a dim x n_free sparse matrix of basis functions on free dofs.
-    Skeleton values are taken once from trace_rows, so cells sharing a trace
-    node cannot disagree on it.  Each cell extends all the rows it supports
-    in one multi-RHS solve; a node interior to two cells means the cells
-    overlap, and the gluing raises GluingMismatch.
+    Skeleton values are taken once from trace_rows and interior values from
+    `_extend_interior`; each interior node belongs to one cell, so the cell
+    pieces cannot disagree.
     """
-    g2f = system.dofmap.global_to_free
-    interior = np.concatenate([data.interior for data in cache.cells.values()])
-    if np.bincount(interior, minlength=mesh.n_points).max() > 1:
-        raise GluingMismatch("interior node written by two cells")
-
     T = trace_rows.tocoo()
-    ri, rj, rv = [T.row], [g2f[cache.skeleton_fine[T.col]]], [T.data]
-    cell_ids = np.concatenate([np.empty(0, dtype=np.int64), *support_cells])
-    row_ids = np.repeat(np.arange(T.shape[0]), list(map(len, support_cells)))
-    order = np.argsort(cell_ids, kind="stable")
-    cells, starts = np.unique(cell_ids[order], return_index=True)
-    for j, rows in zip(cells.tolist(), np.split(row_ids[order], starts[1:])):
-        data = cache.cells[j]
-        block = trace_rows[rows][:, cache.slot_of_node[data.trace]].toarray().T
-        ext = harmonic_extension(cache, j, block)[~data.trace_mask]
-        ri.append(np.broadcast_to(rows, ext.shape).ravel())
-        rj.append(np.broadcast_to(g2f[data.interior][:, None], ext.shape).ravel())
-        rv.append(ext.ravel())
-    ri, rj, rv = np.concatenate(ri), np.concatenate(rj), np.concatenate(rv)
+    rows, pos, vals = _extend_interior(cache, trace_rows, support_cells)
+    ri = np.concatenate([T.row, rows])
+    rj = system.dofmap.global_to_free[np.concatenate([cache.skeleton_fine[T.col],
+                                                      cache.interior[pos]])]
+    rv = np.concatenate([T.data, vals])
     keep = (rj >= 0) & (rv != 0.0)
     return coo_matrix((rv[keep], (ri[keep], rj[keep])),
                       shape=(T.shape[0], system.dofmap.n_free)).tocsr()
@@ -353,10 +355,9 @@ def _build_lift(mesh, system, skeleton, p, cache):
 
     lift = np.zeros(mesh.n_points)
     lift[cache.skeleton_fine] = trace
-    for j in sorted(cells):
-        data = cache.cells[j]
-        ext = harmonic_extension(cache, j, trace[cache.slot_of_node[data.trace]])
-        lift[data.nodes] = ext
+    _, pos, vals = _extend_interior(cache, csr_matrix(trace),
+                                    [np.array(sorted(cells), dtype=np.int64)])
+    lift[cache.interior[pos]] = vals
     return lift
 
 
@@ -371,10 +372,10 @@ def build_trefftz(mesh, system, skeleton, p, cache=None):
     if cache is None:
         cache = build_cell_cache(mesh, system, skeleton)
     basis = build_trace_basis(mesh, skeleton, p, cache)
-    R = _extend_rows(mesh, system, cache, basis.T, basis.support_cells)
+    R = _extend_rows(system, cache, basis.T, basis.support_cells)
     A_H = (R @ system.A @ R.T).tocsc()
     try:
-        fact = Factorization(A_H, check_symmetry=False)
+        fact = Factorization(A_H)
     except NotPositiveDefinite as exc:
         raise RankDeficient("coarse matrix is singular at dof %d (%s)"
                             % (exc.index, basis.labels[exc.index],)) from exc
@@ -409,7 +410,7 @@ def build_nicolaides(mesh, system, overlap):
     R = coo_matrix((1.0 / overlap.multiplicity[gather], (labels, gather)),
                    shape=(n_comp, n)).tocsr()
     try:
-        fact = Factorization((R @ system.A @ R.T).tocsc(), check_symmetry=False)
+        fact = Factorization((R @ system.A @ R.T).tocsc())
     except NotPositiveDefinite as exc:
         raise RankDeficient("Nicolaides coarse matrix is singular at dof %d"
                             % exc.index) from exc
@@ -447,10 +448,7 @@ class SchurSplit:
 
 def schur_split(mesh, system, cache, u_full):
     bubble = np.zeros(mesh.n_points)
-    for j in sorted(cache.cells):
-        data = cache.cells[j]
-        if data.fact is not None:
-            bubble[data.interior] = data.fact.solve(system.load_full[data.interior])
+    bubble[cache.interior] = cache.fact.solve(system.load_full[cache.interior])
     return SchurSplit(bubble, u_full - bubble)
 
 

@@ -3,10 +3,10 @@
 Assembles -Laplace(u) = f with homogeneous Neumann data on perforation
 walls and Dirichlet data g on the outer boundary, eliminating constrained
 nodes but keeping the full matrices around: the coarse spaces need the
-unconstrained operator cell by cell.  The stiffness matrix stores no exact
-zeros: on the right-triangle grids built here the coupling across each
-hypotenuse, -cot(90 deg)/2, cancels to 0.0, and leaving it out keeps it out
-of every sparse product and fill-reducing ordering downstream.
+unconstrained operator on the cell interiors.  The stiffness matrix stores
+no exact zeros: on the right-triangle grids built here the coupling across
+each hypotenuse, -cot(90 deg)/2, cancels to 0.0, and leaving it out keeps it
+out of every sparse product and fill-reducing ordering downstream.
 
 Error integrals use a 4x4 Gauss product rule on the Duffy square (exact
 through total degree 7), so quadrature error stays far below every
@@ -96,8 +96,8 @@ class AssembledSystem:
     """Stiffness system with the Dirichlet nodes eliminated.
 
     A and f act on free dofs; A_full and load_full keep the unconstrained
-    operator and load for the cell-local solves of the coarse space and for
-    boundary lifts.
+    operator and load for the cell-interior solves of the coarse space and
+    for boundary lifts.
     """
 
     A: csr_matrix              # free x free
@@ -111,7 +111,7 @@ class AssembledSystem:
     @property
     def factorization(self):
         if self._fact is None:
-            self._fact = Factorization(self.A, check_symmetry=False)
+            self._fact = Factorization(self.A)
         return self._fact
 
     def expand(self, u_free):

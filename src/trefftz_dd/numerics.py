@@ -27,10 +27,11 @@ class Factorization:
     Uses a symmetric-mode sparse LU with minimum-degree ordering on A+A' and
     pivoting restricted to the diagonal, so the factorization doubles as an
     SPD certificate: any nonpositive pivot raises NotPositiveDefinite with
-    the offending (unpermuted) index.
+    the offending (unpermuted) index.  Symmetry is the caller's to ensure;
+    it is not checked.
     """
 
-    def __init__(self, A, check_symmetry=True):
+    def __init__(self, A):
         if A.shape[0] != A.shape[1]:
             raise DimMismatch("cannot factorize a %s matrix" % (A.shape,))
         self.n = A.shape[0]
@@ -42,10 +43,6 @@ class Factorization:
         bad = np.flatnonzero(d <= 0)
         if len(bad):
             raise NotPositiveDefinite(int(bad[0]), "nonpositive diagonal entry")
-        if check_symmetry:
-            skew = abs(A - A.T)
-            if skew.nnz and skew.max() > 1e-12 * abs(A).max():
-                raise ValueError("matrix is not symmetric")
         try:
             self._lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
@@ -53,8 +50,8 @@ class Factorization:
             raise NotPositiveDefinite(-1, str(exc)) from exc
         pivots = self._lu.U.diagonal()
         bad = np.flatnonzero(pivots <= 0)
-        if len(bad):
-            raise NotPositiveDefinite(int(self._lu.perm_c[bad[0]]),
+        if len(bad):  # Pr A Pc = LU puts column i of A at position perm_c[i]
+            raise NotPositiveDefinite(int(np.flatnonzero(self._lu.perm_c == bad[0])[0]),
                                       "nonpositive pivot in factorization")
 
     def solve(self, b):

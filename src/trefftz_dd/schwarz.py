@@ -56,7 +56,7 @@ def build_schwarz(system, overlap, coarse=None):
     keep = block[GAG.row] == block[GAG.col]
     local = csc_matrix((GAG.data[keep], (GAG.row[keep], GAG.col[keep])),
                        shape=(n_stack, n_stack))
-    fact = Factorization(local, check_symmetry=False)
+    fact = Factorization(local)
     return SchwarzContext(system, gather, 1.0 / overlap.multiplicity[gather], [fact],
                           coarse)
 

@@ -12,10 +12,11 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from test_acceptance import _small_instance
+from test_experiments import _count_calls
 from test_mesh import connected_components
 from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
                                SingularLocalSystem)
@@ -29,6 +30,7 @@ from trefftz_dd.geometry import (
     refine_edges,
     snap,
 )
+from trefftz_dd import coarse
 from trefftz_dd.coarse import (
     _AxisBuckets,
     _extend_rows,
@@ -37,7 +39,6 @@ from trefftz_dd.coarse import (
     build_trace_basis,
     build_trefftz,
     coarse_approximation,
-    harmonic_extension,
     relative_dim,
     schur_split,
 )
@@ -103,15 +104,16 @@ def test_cell_traces_cover_the_skeleton():
     for setup in (lshape_setup, square_setup):
         _, _, mesh, system, skel = setup()
         cache = build_cell_cache(mesh, system, skel)
-        traces = np.concatenate([data.trace for data in cache.cells.values()])
-        assert np.array_equal(np.unique(traces), cache.skeleton_fine)
+        # every mesh node is on the skeleton or interior to exactly one cell
+        nodes = np.concatenate([cache.skeleton_fine, cache.interior])
+        assert np.array_equal(np.sort(nodes), np.unique(mesh.triangles))
 
 
 def test_basis_functions_discrete_harmonic():
     _, _, mesh, system, skel = lshape_setup()
     cache = build_cell_cache(mesh, system, skel)
     A_max = abs(system.A_full).max()
-    interior = np.concatenate([d.interior for d in cache.cells.values()])
+    interior = cache.interior
     for p in (1, 2):
         for r in (0, 1):
             space = build_trefftz(mesh, system, refine_edges(skel, r), p, cache)
@@ -203,24 +205,25 @@ def test_schur_split_orthogonality():
         assert abs(total - nb ** 2 - nh ** 2) <= 1e-8 * total
         # the harmonic part is discrete-harmonic cell by cell
         scale = abs(A).max() * np.abs(u).max()
-        for data in cache.cells.values():
-            res = (A @ split.harmonic)[data.interior]
-            assert np.abs(res).max() <= 1e-9 * scale
+        res = (A @ split.harmonic)[cache.interior]
+        assert np.abs(res).max() <= 1e-9 * scale
 
 
 def test_harmonic_extension_minimizes_energy():
     _, _, mesh, system, skel = square_setup()
     cache = build_cell_cache(mesh, system, skel)
     rng = np.random.default_rng(8)
-    data = cache.cells[0]
-    g = rng.standard_normal(len(data.trace))
-    ext = harmonic_extension(cache, 0, g)
-    # any perturbation of the interior values increases the energy
-    A = system.A_full[data.nodes][:, data.nodes].toarray()
+    g = rng.standard_normal(len(cache.skeleton_fine))
+    ext = np.empty(mesh.n_points)
+    ext[cache.skeleton_fine] = g
+    ext[cache.interior] = cache.fact.solve(-(cache.A_it @ g))
+    # any perturbation of the interior values of cell 0 increases the energy
+    inner = cache.interior[cache.interior_cell == 0]
+    A = system.A_full.toarray()
     base = ext @ A @ ext
     for _ in range(5):
         pert = ext.copy()
-        pert[~data.trace_mask] += 0.1 * rng.standard_normal((~data.trace_mask).sum())
+        pert[inner] += 0.1 * rng.standard_normal(len(inner))
         assert pert @ A @ pert > base
 
 
@@ -438,7 +441,7 @@ def _assert_buckets_match(points):
 
 def _assert_rows_match_reference(mesh, system, cache, skel, p):
     basis = build_trace_basis(mesh, skel, p, cache)
-    R = _extend_rows(mesh, system, cache, basis.T, basis.support_cells)
+    R = _extend_rows(system, cache, basis.T, basis.support_cells)
     want = _extend_rows_reference(mesh, system, cache, basis.T, basis.support_cells)
     for name in ("indptr", "indices"):
         got_a, want_a = getattr(R, name), getattr(want, name)
@@ -482,15 +485,30 @@ def test_coarse_solves_match_dense_on_urban(seed, nx, ny, p):
     cache = build_cell_cache(mesh, system, skel)
     A_full, A = system.A_full.toarray(), system.A.toarray()
 
-    # harmonic extension of a random trace = dense solve of the cell interior
-    for j, data in cache.cells.items():
-        g = rng.standard_normal(len(data.trace))
-        ext = harmonic_extension(cache, j, g)
-        assert np.array_equal(ext[data.trace_mask], g)
-        A_ii = A_full[np.ix_(data.interior, data.interior)]
-        A_it = A_full[np.ix_(data.interior, data.trace)]
-        want = np.linalg.solve(A_ii, -A_it @ g) if len(data.interior) else np.empty(0)
-        assert np.abs(ext[~data.trace_mask] - want).max(initial=0.0) \
+    # harmonic extension of a random trace = dense solve of the cell
+    # interior: row j of the glued basis extends its own random skeleton
+    # values into cell j alone
+    cells = np.unique(mesh.cell_of_triangle)
+    traces = rng.standard_normal((len(cells), len(cache.skeleton_fine)))
+    R = _extend_rows(system, cache, csr_matrix(traces),
+                     [np.array([j]) for j in cells]).toarray()
+    on_skel = system.dofmap.global_to_free[cache.skeleton_fine]
+    free = on_skel >= 0
+    for row, j in enumerate(cells.tolist()):
+        g = traces[row]
+        assert np.array_equal(R[row, on_skel[free]], g[free])
+        nodes = np.unique(mesh.triangles[mesh.cell_of_triangle == j])
+        trace = nodes[cache.slot_of_node[nodes] >= 0]
+        interior = nodes[cache.slot_of_node[nodes] < 0]
+        assert np.array_equal(interior, cache.interior[cache.interior_cell == j])
+        A_ii = A_full[np.ix_(interior, interior)]
+        A_it = A_full[np.ix_(interior, trace)]
+        g = g[cache.slot_of_node[trace]]
+        want = np.linalg.solve(A_ii, -A_it @ g) if len(interior) else np.empty(0)
+        cols = system.dofmap.global_to_free[interior]
+        assert (cols >= 0).all()
+        got = R[row, cols]
+        assert np.abs(got - want).max(initial=0.0) \
             <= 1e-10 * max(1.0, np.abs(want).max(initial=0.0)), j
 
     overlap = build_overlap(mesh, system.dofmap, 1, n_cells=part.n_cells)
@@ -595,3 +613,16 @@ def test_floating_interior_names_its_cell():
     with pytest.raises(SingularLocalSystem) as exc:
         build_cell_cache(mesh, bad, skel)
     assert exc.value.cell == 1
+
+
+def test_one_factorization_per_cell_cache(monkeypatch):
+    # the cell interiors are factorized together, not cell by cell
+    _, _, lmesh, lsystem, lskel = lshape_setup()
+    domain, part, umesh = _small_instance(5, 4, 4)
+    cases = [(lmesh, lsystem, lskel),
+             (umesh, assemble(umesh), build_skeleton(domain, part))]
+    calls = _count_calls(monkeypatch, (coarse, "Factorization"))
+    for mesh, system, skel in cases:
+        calls["Factorization"] = 0
+        build_cell_cache(mesh, system, skel)
+        assert calls["Factorization"] == 1

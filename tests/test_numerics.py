@@ -1,7 +1,7 @@
 """Linear algebra tests: factorization vs dense reference, GMRES behaviour."""
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, diags, random as sparse_random
+from scipy.sparse import block_diag, csr_matrix, diags, random as sparse_random
 
 from trefftz_dd.errors import DimMismatch, NotPositiveDefinite
 from trefftz_dd.numerics import Factorization, GmresOptions, gmres
@@ -27,8 +27,6 @@ def test_factorization_matches_dense_solve():
 def test_factorization_validates_input():
     with pytest.raises(DimMismatch):
         Factorization(csr_matrix(np.ones((2, 3))))
-    with pytest.raises(ValueError, match="symmetric"):
-        Factorization(csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
     with pytest.raises(NotPositiveDefinite) as exc:
         Factorization(csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]])))
     assert exc.value.index == 1
@@ -37,6 +35,13 @@ def test_factorization_validates_input():
     with pytest.raises(NotPositiveDefinite) as exc:
         Factorization(A)
     assert exc.value.index in (0, 1)
+    # the index is an unpermuted one: between two SPD blocks, it falls in
+    # the indefinite block
+    for n in (3, 5, 8, 12):
+        spd = diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            Factorization(block_diag([spd, A, spd]))
+        assert exc.value.index in (n, n + 1), n
     with pytest.raises(DimMismatch):
         Factorization(csr_matrix(np.eye(3))).solve(np.ones(4))
 
