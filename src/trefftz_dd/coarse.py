@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -167,38 +167,6 @@ def build_cell_cache(mesh, system, skeleton):
     return CellCache(skeleton_fine, slot, interior, interior_cell, A_it, fact, buckets)
 
 
-def _extend_interior(cache, traces, support_cells):
-    """Harmonic extensions of trace rows into their support cells, from one
-    multi-RHS solve of A_II.
-
-    Row s of the sparse `traces` (k x len(skeleton_fine)) is extended into
-    the interiors of the cells support_cells[s].  Each (cell, row) pair
-    takes the column given by the row's rank among its cell's rows, so the
-    cells share columns and the solve has as many as the busiest cell has
-    rows.  The entries of -A_IΓ traces' whose (cell, row) pair is supported
-    fill those columns, found by one searchsorted on the ascending keys
-    cell * k + row.  Returns (row, position in cache.interior, value) for
-    every interior node of every supported pair.
-    """
-    k = traces.shape[0]
-    cells = np.concatenate([np.empty(0, dtype=np.int64), *support_cells])
-    pairs = np.sort(cells * k + np.repeat(np.arange(k), list(map(len, support_cells))))
-    pair_cell = pairs // k
-    col = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
-    rhs = (cache.A_it @ traces.T).tocoo()
-    key = cache.interior_cell[rhs.row] * k + rhs.col
-    hit = np.isin(key, pairs)
-    B = np.zeros((len(cache.interior), col.max(initial=-1) + 1), order="F")
-    B[rhs.row[hit], col[np.searchsorted(pairs, key[hit])]] = -rhs.data[hit]
-    X = cache.fact.solve(B)
-
-    lo = np.searchsorted(cache.interior_cell, pair_cell, side="left")
-    count = np.searchsorted(cache.interior_cell, pair_cell, side="right") - lo
-    pair = np.repeat(np.arange(len(pairs)), count)
-    pos = np.arange(len(pair)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    return pairs[pair] % k, pos, X[pos, col[pair]]
-
-
 # ---------------------------------------------------------------------------
 # Trace basis: hats on coarse nodes, quadratic bubbles on edges
 
@@ -210,6 +178,7 @@ class TraceBasis:
     T: csr_matrix            # dim x len(skeleton_fine): nodal trace values
     labels: list             # ('node', coarse node id) or ('edge', edge index)
     support_cells: list      # per row: sorted cell ids the trace touches
+    fine_nodes: tuple = field(default=None, repr=False)  # _edge_node_lists output
 
     @property
     def dim(self):
@@ -225,7 +194,8 @@ def build_trace_basis(mesh, skeleton, p, cache):
     construction."""
     if p not in (1, 2):
         raise ValueError("trace degree must be 1 or 2, got %r" % (p,))
-    fine_of_coarse, edge_nodes = _edge_node_lists(mesh, skeleton, cache.buckets)
+    fine_nodes = _edge_node_lists(mesh, skeleton, cache.buckets)
+    edge_nodes = fine_nodes[1]
     slot = cache.slot_of_node
 
     incident = defaultdict(list)
@@ -246,8 +216,7 @@ def build_trace_basis(mesh, skeleton, p, cache):
     for i, node in enumerate(skeleton.nodes):
         if node.constrained:
             continue
-        cols, vals, cells = {}, [], []
-        entries = {}
+        entries, cells = {}, []
         for k in incident[i]:
             e = skeleton.edges[k]
             ids, t = edge_nodes[k]
@@ -275,7 +244,7 @@ def build_trace_basis(mesh, skeleton, p, cache):
     assert row >= n_free_nodes
     T = coo_matrix((rows_v, (rows_i, rows_j)),
                    shape=(row, len(cache.skeleton_fine))).tocsr()
-    return TraceBasis(p, T, labels, support)
+    return TraceBasis(p, T, labels, support, fine_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +260,6 @@ class CoarseSpace:
     R: csr_matrix            # dim x n_free
     fact: Factorization
     lift_full: np.ndarray | None = None  # coarse interpolant of Dirichlet data
-    trace: TraceBasis | None = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -305,34 +273,56 @@ class CoarseSpace:
 def _extend_rows(system, cache, trace_rows, support_cells):
     """Glue the harmonic extensions of the trace rows into basis functions.
 
-    Returns a dim x n_free sparse matrix of basis functions on free dofs.
-    Skeleton values are taken once from trace_rows and interior values from
-    `_extend_interior`; each interior node belongs to one cell, so the cell
-    pieces cannot disagree.
+    Returns a sparse matrix of basis functions on free dofs, one per row.
+    Skeleton values are taken once from trace_rows.  Interior values come
+    from one multi-RHS solve of A_II: row s is extended into the interiors
+    of the cells support_cells[s], and each (cell, row) pair takes the
+    column given by the row's rank among its cell's rows, so the cells share
+    columns and the solve has as many as the busiest cell has rows.  The
+    entries of -A_IΓ T' whose (cell, row) pair is supported fill those
+    columns, found by one searchsorted on the ascending keys cell * k + row.
+    Each interior node belongs to one cell, so the pieces cannot disagree.
     """
+    k = trace_rows.shape[0]
+    cells = np.concatenate([np.empty(0, dtype=np.int64), *support_cells])
+    pairs = np.sort(cells * k + np.repeat(np.arange(k), list(map(len, support_cells))))
+    pair_cell = pairs // k
+    col = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
+    rhs = (cache.A_it @ trace_rows.T).tocoo()
+    key = cache.interior_cell[rhs.row] * k + rhs.col
+    hit = np.isin(key, pairs)
+    B = np.zeros((len(cache.interior), col.max(initial=-1) + 1), order="F")
+    B[rhs.row[hit], col[np.searchsorted(pairs, key[hit])]] = -rhs.data[hit]
+    X = cache.fact.solve(B)
+
+    # read back every interior node of every pair's cell
+    lo = np.searchsorted(cache.interior_cell, pair_cell, side="left")
+    count = np.searchsorted(cache.interior_cell, pair_cell, side="right") - lo
+    pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    flat = pos + len(X) * np.repeat(col, count)   # column-major index of X
     T = trace_rows.tocoo()
-    rows, pos, vals = _extend_interior(cache, trace_rows, support_cells)
-    ri = np.concatenate([T.row, rows])
+    ri = np.concatenate([T.row, np.repeat(pairs % k, count)])
     rj = system.dofmap.global_to_free[np.concatenate([cache.skeleton_fine[T.col],
                                                       cache.interior[pos]])]
-    rv = np.concatenate([T.data, vals])
+    rv = np.concatenate([T.data, X.ravel(order="F")[flat]])
     keep = (rj >= 0) & (rv != 0.0)
     return coo_matrix((rv[keep], (ri[keep], rj[keep])),
-                      shape=(T.shape[0], system.dofmap.n_free)).tocsr()
+                      shape=(k, system.dofmap.n_free)).tocsr()
 
 
-def _build_lift(mesh, system, skeleton, p, cache):
-    """Coarse interpolant of the Dirichlet data: hat values at constrained
-    coarse nodes, plus (p = 2) midpoint-matching bubbles on Dirichlet edges,
-    extended harmonically.  None when the data is identically zero."""
+def _lift_trace(mesh, system, skeleton, p, cache, basis):
+    """Skeleton trace of the coarse interpolant of the Dirichlet data: hat
+    values at constrained coarse nodes, plus (p = 2) midpoint-matching
+    bubbles on Dirichlet edges.  Returns the trace on skeleton_fine and the
+    sorted cells its nonzero part touches, or None when the data is
+    identically zero."""
     g = system.dirichlet_values
     if not np.any(g):
         return None
-    dofmap = system.dofmap
     g_of_node = np.zeros(mesh.n_points)
-    g_of_node[dofmap.dirichlet_nodes] = g
+    g_of_node[system.dofmap.dirichlet_nodes] = g
 
-    fine_of_coarse, edge_nodes = _edge_node_lists(mesh, skeleton, cache.buckets)
+    fine_of_coarse, edge_nodes = basis.fine_nodes
     gc = np.zeros(len(skeleton.nodes))
     for i, node in enumerate(skeleton.nodes):
         if node.constrained:
@@ -353,12 +343,7 @@ def _build_lift(mesh, system, skeleton, p, cache):
         if np.any(vals):
             cells.update(e.cells)
 
-    lift = np.zeros(mesh.n_points)
-    lift[cache.skeleton_fine] = trace
-    _, pos, vals = _extend_interior(cache, csr_matrix(trace),
-                                    [np.array(sorted(cells), dtype=np.int64)])
-    lift[cache.interior[pos]] = vals
-    return lift
+    return trace, np.array(sorted(cells), dtype=np.int64)
 
 
 def build_trefftz(mesh, system, skeleton, p, cache=None):
@@ -367,12 +352,24 @@ def build_trefftz(mesh, system, skeleton, p, cache=None):
     Returns a CoarseSpace whose R holds the basis functions (rows) on free
     dofs and whose factorization solves the coarse Galerkin matrix.  When
     the system carries nonzero Dirichlet data, the space also stores its
-    coarse interpolant for use as an initial guess / affine offset.
+    coarse interpolant for use as an initial guess / affine offset; its
+    harmonic extension is one more row, and column, of the basis solve.
     """
     if cache is None:
         cache = build_cell_cache(mesh, system, skeleton)
     basis = build_trace_basis(mesh, skeleton, p, cache)
-    R = _extend_rows(system, cache, basis.T, basis.support_cells)
+    traces, support = basis.T, basis.support_cells
+    lift = _lift_trace(mesh, system, skeleton, p, cache, basis)
+    if lift is not None:
+        traces = vstack([traces, csr_matrix(lift[0])], format="csr")
+        support = support + [lift[1]]
+    R = _extend_rows(system, cache, traces, support)
+    lift_full = None
+    if lift is not None:
+        lift_full = np.zeros(mesh.n_points)
+        lift_full[cache.skeleton_fine] = lift[0]
+        row, R = R[basis.dim], R[:basis.dim]
+        lift_full[system.dofmap.free_nodes[row.indices]] = row.data
     A_H = (R @ system.A @ R.T).tocsc()
     try:
         fact = Factorization(A_H)
@@ -380,8 +377,7 @@ def build_trefftz(mesh, system, skeleton, p, cache=None):
         raise RankDeficient("coarse matrix is singular at dof %d (%s)"
                             % (exc.index, basis.labels[exc.index],)) from exc
     r = max((e.refinement_level for e in skeleton.edges), default=0)
-    lift = _build_lift(mesh, system, skeleton, p, cache)
-    return CoarseSpace("trefftz", p, r, R, fact, lift, basis)
+    return CoarseSpace("trefftz", p, r, R, fact, lift_full)
 
 
 def build_nicolaides(mesh, system, overlap):

@@ -67,7 +67,7 @@ class SingularLocalSystem(ArithmeticError):
 
 
 class GluingMismatch(RuntimeError):
-    """Two cells disagree on a shared fine node during basis gluing."""
+    """A fine node is interior to two cells, so the basis cannot be glued."""
 
 
 class RankDeficient(ArithmeticError):
