@@ -178,7 +178,7 @@ class TraceBasis:
     T: csr_matrix            # dim x len(skeleton_fine): nodal trace values
     labels: list             # ('node', coarse node id) or ('edge', edge index)
     support_cells: list      # per row: sorted cell ids the trace touches
-    fine_nodes: tuple = field(default=None, repr=False)  # _edge_node_lists output
+    fine_nodes: tuple = field(repr=False)  # _edge_node_lists output
 
     @property
     def dim(self):
