@@ -22,7 +22,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DegenerateTriangle, MeshNotNested
-from .mesh import Triangulation, build_dofmap, signed_areas
+from .mesh import Triangulation, build_dofmap, gathered_areas
 from .numerics import Factorization
 
 
@@ -43,12 +43,18 @@ def _duffy_rule():
 QUAD_POINTS, QUAD_WEIGHTS = _duffy_rule()
 
 
-def _geometry(mesh):
-    p = mesh.points[mesh.triangles]
-    area = signed_areas(mesh.points, mesh.triangles)
+def _areas(mesh, p):
+    """Triangle areas from the vertices p = points[triangles], checked."""
+    area = gathered_areas(p)
     bad = np.flatnonzero(area <= 1e-14 * mesh.h ** 2)
     if len(bad):
         raise DegenerateTriangle(int(bad[0]))
+    return area
+
+
+def _geometry(mesh):
+    p = mesh.points[mesh.triangles]
+    area = _areas(mesh, p)
     # gradient coefficients of the three hat functions on each triangle
     b = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1)
     c = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1)
@@ -72,7 +78,7 @@ def stiffness_matrix(mesh):
 
 def mass_matrix(mesh):
     """Unconstrained mass matrix over all mesh nodes (csr)."""
-    _, area, _, _ = _geometry(mesh)
+    area = _areas(mesh, mesh.points[mesh.triangles])
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     M = local[None, :, :] * area[:, None, None]
     i = np.repeat(mesh.triangles, 3, axis=1).ravel()
@@ -85,7 +91,7 @@ def lumped_load(mesh, f):
     if f is None:
         return np.zeros(mesh.n_points)
     vals = f(mesh.points) if callable(f) else np.broadcast_to(float(f), mesh.n_points)
-    _, area, _, _ = _geometry(mesh)
+    area = _areas(mesh, mesh.points[mesh.triangles])
     load = np.zeros(mesh.n_points)
     np.add.at(load, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
     return load * np.asarray(vals, dtype=float)
@@ -199,6 +205,11 @@ def error_norms(mesh, u_full, exact):
     reference operators assembled on every call; a `NestedReference`
     carries them, built once, so a call costs two sparse products.  Nesting
     is checked on every call.
+
+    A callable is called once per rule point (16 calls), each time on one
+    point per triangle, so no temporary holds more than one value per
+    triangle and coordinate.  The points are the barycentric combinations
+    `p[:, :, d] @ lam` of the triangle vertices p.
     """
     if isinstance(exact, tuple):
         ref = exact if isinstance(exact, NestedReference) else nested_reference(mesh, *exact)
@@ -209,6 +220,7 @@ def error_norms(mesh, u_full, exact):
         return float(l2), float(h1)
 
     p, area, b, c = _geometry(mesh)
+    px, py = p[:, :, 0], p[:, :, 1]
     vals = u_full[mesh.triangles]
     gx = (vals * b).sum(axis=1) / (2.0 * area)
     gy = (vals * c).sum(axis=1) / (2.0 * area)
@@ -216,7 +228,8 @@ def error_norms(mesh, u_full, exact):
     err_l2 = err_h1 = ex_l2 = ex_h1 = 0.0
     for q, w in zip(QUAD_POINTS, QUAD_WEIGHTS):
         lam = np.array([1.0 - q[0] - q[1], q[0], q[1]])
-        pts = np.einsum("k,mkd->md", lam, p)
+        # (2, m) transposed: the coordinate columns `exact` reads are contiguous
+        pts = np.stack([px @ lam, py @ lam]).T
         uh = vals @ lam
         u, gu = exact(pts)
         err_l2 += 2.0 * w * float(area @ (uh - u) ** 2)
@@ -234,23 +247,25 @@ def exact_lshape(points):
     derivative vanishes on both perforation walls meeting at the corner.
     Returns values and gradients; the gradient at the corner itself is
     infinite and flagged by a sentinel.
+
+    Evaluated from one angle psi = theta/3 + pi/3: the polar gradient
+    rotated to Cartesian axes is grad u = (2/3) r^(-1/3) (cos psi, sin psi),
+    and since 2 psi = 2(theta - pi/2)/3 + pi, u = r^(2/3) (1 - 2 cos^2 psi).
+    r^(2/3) is cbrt(x^2 + y^2) and r^(-1/3) its inverse square root, so a
+    point costs one arctan2, one cos and one sin.  x^2 + y^2 underflows
+    below r ~ 1e-154, where the point reads as the corner.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    r = np.hypot(x, y)
     theta = np.arctan2(y, x)
-    theta = np.where(theta < np.pi / 2 - 1e-14, theta + 2.0 * np.pi, theta)
-    a = 2.0 / 3.0
-    phi = a * (theta - np.pi / 2)
-    origin = r == 0.0
-    rs = np.where(origin, 1.0, r)
-    cos_phi, sin_phi, ra1 = np.cos(phi), np.sin(phi), rs ** (a - 1.0)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    vals = rs ** a * cos_phi
-    dr = a * ra1 * cos_phi
-    dt = -a * ra1 * sin_phi
-    grads = np.column_stack([dr * cos_t - dt * sin_t, dr * sin_t + dt * cos_t])
+    # theta + 2 pi below the branch, folded into the shift of theta / 3
+    psi = theta / 3.0 + np.where(theta < np.pi / 2 - 1e-14, np.pi, np.pi / 3.0)
+    r23 = np.cbrt(x * x + y * y)
+    origin = r23 == 0.0
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    vals = r23 * (1.0 - 2.0 * cos_psi * cos_psi)
+    dr = (2.0 / 3.0) / np.sqrt(np.where(origin, 1.0, r23))
+    grads = np.column_stack([dr * cos_psi, dr * sin_psi])
     vals[origin] = 0.0
     grads[origin] = np.inf
     return vals, grads
-

@@ -73,7 +73,11 @@ def build_dofmap(mesh):
 
 
 def signed_areas(points, triangles):
-    p = points[triangles]
+    return gathered_areas(points[triangles])
+
+
+def gathered_areas(p):
+    """Signed areas of triangles from their vertices p = points[triangles]."""
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 

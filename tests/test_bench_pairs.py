@@ -1,6 +1,7 @@
 """Summary statistics of the pairing script `tools/bench_pairs.py`.
 
-Oracle: medians, inclusive quartiles and pair wins counted by hand."""
+Oracle: medians, inclusive quartiles, pair wins and per-pair ratios
+worked out by hand."""
 import os
 import sys
 
@@ -18,4 +19,20 @@ def test_summarize_counts_pairs_and_ignores_missing_runs():
     assert table["wall_s"] == {"parent_median": 3.5, "parent_iqr": [2.75, 4.25],
                                "change_median": 2.5, "change_iqr": [1.75, 3.75],
                                "rel_change": -0.2857,
-                               "change_wins": 2}   # the tie 2.0 vs 2.0 counts for neither
+                               "change_wins": 2,   # the tie 2.0 vs 2.0 counts for neither
+                               # ratios 3/4, 2/2, 1/3, 6/5 sorted: 1/3, 3/4, 1, 6/5;
+                               # q1 = 1/3 + 0.75 (3/4 - 1/3), q3 = 1 + 0.25 (6/5 - 1)
+                               "pair_ratio_median": 0.875,
+                               "pair_ratio_iqr": [0.6458, 1.05]}
+
+
+def test_pair_ratios_skip_zero_parents():
+    parent = [{"failed": v} for v in (0, 2, 4)]
+    change = [{"failed": v} for v in (1, 1, 1)]
+    table = summarize({"parent": parent, "change": change}, ["failed"])
+    # the first pair has no ratio; 1/2 and 1/4 remain
+    assert table["failed"]["pair_ratio_median"] == 0.375
+    assert table["failed"]["pair_ratio_iqr"] == [0.3125, 0.4375]
+    table = summarize({"parent": parent[:1], "change": change[:1]}, ["failed"])
+    assert table["failed"]["pair_ratio_median"] is None
+    assert table["failed"]["pair_ratio_iqr"] is None

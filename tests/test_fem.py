@@ -5,6 +5,9 @@ triangle, edge-midpoint quadrature and per-triangle gradient solves for the
 bilinear forms, the plain COO sum for the stiffness matrix without its
 exact zeros, dense solves for the fine system, finite differences for the
 benchmark solution, and the patch test for exactness on linear fields.
+The polar formula of the benchmark solution and the einsum quadrature loop
+are kept as references for the one-angle `exact_lshape` and for
+`error_norms`.
 """
 import math
 
@@ -22,13 +25,16 @@ from trefftz_dd.fem import (
     assemble,
     error_norms,
     exact_lshape,
+    lumped_load,
     mass_matrix,
     solve_fine,
     stiffness_matrix,
 )
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
 from trefftz_dd.mesh import (DIRICHLET, Triangulation, build_dofmap, generate_structured,
-                             red_refine, refine_toward)
+                             red_refine, refine_toward, signed_areas)
+
+EPS = np.finfo(float).eps
 
 
 def unit_square_mesh(pitch, nx=1, ny=1):
@@ -113,6 +119,24 @@ def test_stiffness_matrix_stores_no_zeros(kind):
     # so do the matrices of the assembled system
     system = assemble(mesh, f=1.0)
     assert (system.A.data == 0).sum() == 0 and (system.A_full.data == 0).sum() == 0
+
+
+@pytest.mark.parametrize("kind", sorted(MESH_KINDS))
+def test_geometry_areas_match_signed_areas(kind):
+    mesh = MESH_KINDS[kind]()
+    p, area, _, _ = _geometry(mesh)
+    assert area.tobytes() == signed_areas(mesh.points, mesh.triangles).tobytes()
+    assert p.tobytes() == mesh.points[mesh.triangles].tobytes()
+    # the area-only forms: the mass matrix and the lumped load from the same areas
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    i = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    j = np.tile(mesh.triangles, (1, 3)).ravel()
+    want = coo_matrix(((local[None] * area[:, None, None]).ravel(), (i, j)),
+                      shape=(mesh.n_points, mesh.n_points)).tocsr()
+    M = mass_matrix(mesh)
+    assert M.toarray().tobytes() == want.toarray().tobytes()
+    load = np.bincount(mesh.triangles.ravel(), np.repeat(area / 3.0, 3), mesh.n_points)
+    assert lumped_load(mesh, 2.0).tobytes() == (2.0 * load).tobytes()
 
 
 @given(seed=st.integers(0, 2 ** 16))
@@ -215,6 +239,125 @@ def test_exact_lshape_is_harmonic_with_neumann_walls():
     # corner sentinel
     v, g = exact_lshape(np.array([[0.0, 0.0]]))
     assert v[0] == 0.0 and np.isinf(g[0]).all()
+
+
+def _exact_lshape_reference(points):
+    """The polar formula: u = r^a cos(phi), phi = a (theta - pi/2), a = 2/3,
+    and its radial and angular derivatives rotated by theta."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    r = np.hypot(x, y)
+    theta = np.arctan2(y, x)
+    theta = np.where(theta < np.pi / 2 - 1e-14, theta + 2.0 * np.pi, theta)
+    a = 2.0 / 3.0
+    phi = a * (theta - np.pi / 2)
+    origin = r == 0.0
+    rs = np.where(origin, 1.0, r)
+    cos_phi, sin_phi, ra1 = np.cos(phi), np.sin(phi), rs ** (a - 1.0)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    vals = rs ** a * cos_phi
+    dr = a * ra1 * cos_phi
+    dt = -a * ra1 * sin_phi
+    grads = np.column_stack([dr * cos_t - dt * sin_t, dr * sin_t + dt * cos_t])
+    vals[origin] = 0.0
+    grads[origin] = np.inf
+    return vals, grads
+
+
+def _assert_matches_reference(pts):
+    """Values within 8 eps r^(2/3) and gradients within 8 eps r^(-1/3) of the
+    polar formula, widened by that formula's own error: it raises r to
+    fl(2/3) and fl(2/3) - 1, which miss 2/3 and -1/3 by eps/6, so its relative
+    error grows as |ln r| eps/6 (38 eps at r = 1e-100)."""
+    v, g = exact_lshape(pts)
+    want_v, want_g = _exact_lshape_reference(pts)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    band = (8.0 + np.abs(np.log(r)) / 6.0) * EPS
+    assert np.all(np.abs(v - want_v) <= band * r ** (2.0 / 3.0))
+    assert np.all(np.abs(g - want_g).max(axis=1) <= band * r ** (-1.0 / 3.0))
+
+
+def test_exact_lshape_matches_polar_formula():
+    rng = np.random.default_rng(11)
+    # the L-shape around its corner: theta from pi/2 through 2 pi
+    r = 10.0 ** rng.uniform(-100.0, 1.0, 200_000)
+    theta = rng.uniform(np.pi / 2, 2.0 * np.pi, len(r))
+    _assert_matches_reference(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+
+    # both Neumann walls, x = 0 above the corner and y = 0 (of either sign) right of it
+    s = 10.0 ** np.linspace(-100.0, 1.0, 203)
+    zero = np.zeros_like(s)
+    for wall in (np.column_stack([zero, s]), np.column_stack([s, zero]),
+                 np.column_stack([s, -zero])):
+        _assert_matches_reference(wall)
+
+    # either side of the branch test theta < pi/2 - 1e-14, within 1e-14 of it
+    theta = np.pi / 2 - 1e-14 + np.linspace(-1e-14, 1e-14, 41)
+    pts = np.concatenate([np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+                          for r in (1e-8, 0.3, 1.0, 7.0)])
+    branch = np.arctan2(pts[:, 1], pts[:, 0]) < np.pi / 2 - 1e-14
+    assert branch.any() and not branch.all()
+    _assert_matches_reference(pts)
+
+    # the corner sentinel
+    for f in (exact_lshape, _exact_lshape_reference):
+        v, g = f(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert v[0] == 0.0 and not np.signbit(v[0]) and np.isposinf(g[0]).all()
+        assert np.isfinite(g[1]).all()
+
+
+def test_exact_lshape_against_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    r = 10.0 ** rng.uniform(-100.0, 1.0, 300)
+    theta = rng.uniform(np.pi / 2, 2.0 * np.pi, len(r))
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    v, g = exact_lshape(pts)
+    with mpmath.workdps(40):
+        third = mpmath.mpf(1) / 3
+        for (x, y), vi, gi in zip(pts, v, g):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            rr, t = mpmath.sqrt(x * x + y * y), mpmath.atan2(y, x)
+            if t < mpmath.pi / 2:
+                t += 2 * mpmath.pi
+            psi = t / 3 + mpmath.pi / 3
+            scale = 2 * third * rr ** -third
+            value = rr ** (2 * third) * mpmath.cos(2 * third * (t - mpmath.pi / 2))
+            assert abs(vi - value) <= 8 * EPS * rr ** (2 * third)
+            assert abs(gi[0] - scale * mpmath.cos(psi)) <= 8 * EPS * rr ** -third
+            assert abs(gi[1] - scale * mpmath.sin(psi)) <= 8 * EPS * rr ** -third
+
+
+def _error_norms_reference(mesh, u_full, exact):
+    """The quadrature loop with the points formed by einsum."""
+    p, area, b, c = _geometry(mesh)
+    vals = u_full[mesh.triangles]
+    gx = (vals * b).sum(axis=1) / (2.0 * area)
+    gy = (vals * c).sum(axis=1) / (2.0 * area)
+
+    err_l2 = err_h1 = ex_l2 = ex_h1 = 0.0
+    for q, w in zip(QUAD_POINTS, QUAD_WEIGHTS):
+        lam = np.array([1.0 - q[0] - q[1], q[0], q[1]])
+        pts = np.einsum("k,mkd->md", lam, p)
+        uh = vals @ lam
+        u, gu = exact(pts)
+        err_l2 += 2.0 * w * float(area @ (uh - u) ** 2)
+        ex_l2 += 2.0 * w * float(area @ u ** 2)
+        err_h1 += 2.0 * w * float(area @ ((gx - gu[:, 0]) ** 2 + (gy - gu[:, 1]) ** 2))
+        ex_h1 += 2.0 * w * float(area @ (gu[:, 0] ** 2 + gu[:, 1] ** 2))
+    return float(np.sqrt(err_l2 / ex_l2)), float(np.sqrt(err_h1 / ex_h1))
+
+
+def test_error_norms_match_einsum_loop_on_graded_lshape():
+    mesh = refine_toward(lshape_mesh(1.0 / 24.0), np.array([[0.0, 0.0]]), 2)
+    system = assemble(mesh, f=None, g=lambda pts: _exact_lshape_reference(pts)[0])
+    rng = np.random.default_rng(4)
+    for u in (rng.standard_normal(mesh.n_points), solve_fine(system)):
+        want = _error_norms_reference(mesh, u, _exact_lshape_reference)
+        # the points are formed exactly as before: bitwise equal errors
+        assert error_norms(mesh, u, _exact_lshape_reference) == want
+        got = error_norms(mesh, u, exact_lshape)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_lshape_solve_singular_rates():

@@ -19,7 +19,10 @@ The output holds, per workload and end-to-end metric, each side's median
 and inclusive quartiles over its runs, the relative change of the medians
 and `change_wins`, the number of pairs in which the change's value is
 better (lower, for every metric the benchmark declares), ties counting for
-neither side; plus every run and the traced per-layer metrics.  The file is
+neither side; the median and inclusive quartiles of the per-pair
+change/parent ratios (`pair_ratio_median`, `pair_ratio_iqr`), which cancel
+what both runs of a pair share, such as the size of the seed's geometry;
+plus every run and the traced per-layer metrics.  The file is
 rewritten after every pair, so an interrupted run keeps the pairs it finished.
 """
 import argparse
@@ -78,7 +81,9 @@ def quartiles(values):
 
 
 def summarize(runs, metrics):
-    """Per-metric medians, quartiles, relative change and change wins."""
+    """Per-metric medians, quartiles, relative change, change wins and the
+    median and quartiles of the per-pair change/parent ratios (pairs whose
+    parent value is 0 have no ratio)."""
     table = {}
     for name in metrics:
         pairs = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])
@@ -87,12 +92,15 @@ def summarize(runs, metrics):
             continue
         parent, change = [p for p, _ in pairs], [c for _, c in pairs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
+        ratios = [c / p for p, c in pairs if p]
         table[name] = {"parent_median": round(p_med, 4),
                        "parent_iqr": quartiles(parent),
                        "change_median": round(c_med, 4),
                        "change_iqr": quartiles(change),
                        "rel_change": round((c_med - p_med) / p_med, 4) if p_med else None,
-                       "change_wins": sum(c < p for p, c in pairs)}
+                       "change_wins": sum(c < p for p, c in pairs),
+                       "pair_ratio_median": round(statistics.median(ratios), 4) if ratios else None,
+                       "pair_ratio_iqr": quartiles(ratios) if ratios else None}
     return table
 
 
@@ -139,7 +147,9 @@ def main(argv=None):
                              "pairs the change" % (seeds[0], seeds[-1]),
                "per_layer": "one trace 1 run per side at seed 1",
                "fields": "median and inclusive quartiles over runs; change_wins "
-                         "counts pairs where the change's value is lower"},
+                         "counts pairs where the change's value is lower; "
+                         "pair_ratio_median/_iqr over the per-pair change/parent "
+                         "ratios"},
            "workloads": {}}
 
     def save():
