@@ -252,8 +252,9 @@ def exact_lshape(points):
     rotated to Cartesian axes is grad u = (2/3) r^(-1/3) (cos psi, sin psi),
     and since 2 psi = 2(theta - pi/2)/3 + pi, u = r^(2/3) (1 - 2 cos^2 psi).
     r^(2/3) is cbrt(x^2 + y^2) and r^(-1/3) its inverse square root, so a
-    point costs one arctan2, one cos and one sin.  x^2 + y^2 underflows
-    below r ~ 1e-154, where the point reads as the corner.
+    point costs one arctan2, one cos and one sin.  Below r ~ 1e-154,
+    x^2 + y^2 is subnormal and loses digits; where it underflows to 0 the
+    point reads as the corner.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
@@ -264,8 +265,8 @@ def exact_lshape(points):
     origin = r23 == 0.0
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     vals = r23 * (1.0 - 2.0 * cos_psi * cos_psi)
-    dr = (2.0 / 3.0) / np.sqrt(np.where(origin, 1.0, r23))
-    grads = np.column_stack([dr * cos_psi, dr * sin_psi])
+    grad_norm = (2.0 / 3.0) / np.sqrt(np.where(origin, 1.0, r23))
+    grads = np.column_stack([grad_norm * cos_psi, grad_norm * sin_psi])
     vals[origin] = 0.0
     grads[origin] = np.inf
     return vals, grads
