@@ -9,6 +9,11 @@ pieces by taking each skeleton value once from the trace.  The
 resulting functions satisfy the fine-mesh equation away from the skeleton,
 which is what buys superconvergence on perforated geometries.
 
+One trace table holds a hat for every coarse node and a bubble for every
+edge.  Its free rows are the basis traces; the coarse interpolant of the
+Dirichlet data (the lift) is a vector of coefficients on the other rows,
+so both come from the one trace evaluator.
+
 A Nicolaides-style space (one weighted indicator per connected component of
 each overlapping subdomain) is provided as the classical baseline.
 """
@@ -76,24 +81,11 @@ class _AxisBuckets:
         order = np.argsort(t, kind="stable")
         return sel[order], t[order]
 
-    def node_at(self, pos):
-        coords, ids = self.by_x.get(snap(pos[0]), (None, None))
-        if coords is None:
-            return -1
-        k = bisect_left(coords, pos[1] - 1e-9)
-        if k < len(ids) and abs(coords[k] - pos[1]) <= 1e-9:
-            return int(ids[k])
-        return -1
 
-
-def _edge_node_lists(mesh, skeleton, buckets):
-    """Per-edge (node ids, parameters) plus the fine id of every coarse node."""
-    fine_of_coarse = np.empty(len(skeleton.nodes), dtype=np.int64)
-    for i, node in enumerate(skeleton.nodes):
-        fid = buckets.node_at(node.position)
-        if fid < 0:
-            raise NodeOffSkeleton(i, node.position)
-        fine_of_coarse[i] = fid
+def _edge_node_lists(skeleton, buckets):
+    """Per-edge (fine node ids, parameters), from endpoint a at t = 0 to
+    endpoint b at t = 1.  Every coarse node is an edge endpoint, so an
+    edge whose ends are not fine nodes locates a coarse node off the mesh."""
     edge_nodes = []
     for e in skeleton.edges:
         pa, pb = skeleton.edge_points(e)
@@ -101,7 +93,7 @@ def _edge_node_lists(mesh, skeleton, buckets):
         if len(ids) < 2 or abs(t[0]) > 1e-9 or abs(t[-1] - 1.0) > 1e-9:
             raise NodeOffSkeleton(e.endpoints[0], pa)
         edge_nodes.append((ids, t))
-    return fine_of_coarse, edge_nodes
+    return edge_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +164,22 @@ def build_cell_cache(mesh, system, skeleton):
 
 @dataclass
 class TraceBasis:
-    """Coarse basis traces sampled at the fine nodes of the skeleton."""
+    """Coarse basis traces sampled at the fine nodes of the skeleton.
+
+    One table holds a hat row for every coarse node, in node order, then
+    (p = 2) a bubble row for every edge that carries one, in edge order.
+    The free rows (unconstrained nodes, non-Dirichlet edges) are the basis
+    traces T, with their labels and support cells; the rest carry the
+    Dirichlet lift."""
 
     p: int
-    T: csr_matrix            # dim x len(skeleton_fine): nodal trace values
+    T: csr_matrix            # dim x len(skeleton_fine): the free rows of table
     labels: list             # ('node', coarse node id) or ('edge', edge index)
     support_cells: list      # per row: sorted cell ids the trace touches
-    fine_nodes: tuple = field(repr=False)  # _edge_node_lists output
+    table: csr_matrix = field(repr=False)   # every row, free or not
+    table_labels: list = field(repr=False)
+    table_support: list = field(repr=False)
+    edge_nodes: list = field(repr=False)    # _edge_node_lists output
 
     @property
     def dim(self):
@@ -186,16 +187,15 @@ class TraceBasis:
 
 
 def build_trace_basis(mesh, skeleton, p, cache):
-    """Hat traces for free coarse nodes; for p = 2 also one 4t(1-t) bubble
-    per non-Dirichlet skeleton edge with at least one fine node strictly
-    inside it.  (Perforations can squeeze a skeleton edge down to a single
-    mesh pitch; such an edge keeps its endpoint hats but cannot carry a
-    bubble.)  Traces vanish on the Dirichlet part of the skeleton by
-    construction."""
+    """Hat traces for coarse nodes; for p = 2 also one 4t(1-t) bubble per
+    skeleton edge with at least one fine node strictly inside it.
+    (Perforations can squeeze a skeleton edge down to a single mesh pitch;
+    such an edge keeps its endpoint hats but cannot carry a bubble.)  The
+    basis traces are those of free nodes and non-Dirichlet edges, so they
+    vanish on the Dirichlet part of the skeleton by construction."""
     if p not in (1, 2):
         raise ValueError("trace degree must be 1 or 2, got %r" % (p,))
-    fine_nodes = _edge_node_lists(mesh, skeleton, cache.buckets)
-    edge_nodes = fine_nodes[1]
+    edge_nodes = _edge_node_lists(skeleton, cache.buckets)
     slot = cache.slot_of_node
 
     incident = defaultdict(list)
@@ -204,18 +204,17 @@ def build_trace_basis(mesh, skeleton, p, cache):
         incident[e.endpoints[1]].append(k)
 
     rows_i, rows_j, rows_v = [], [], []
-    labels, support = [], []
+    labels, support, free = [], [], []
 
-    def emit(row, cols, vals, cells):
-        rows_i.extend([row] * len(cols))
+    def emit(label, is_free, cols, vals, cells):
+        rows_i.extend([len(labels)] * len(cols))
         rows_j.extend(cols)
         rows_v.extend(vals)
         support.append(np.unique(np.asarray(cells, dtype=int)))
+        labels.append(label)
+        free.append(is_free)
 
-    row = 0
     for i, node in enumerate(skeleton.nodes):
-        if node.constrained:
-            continue
         entries, cells = {}, []
         for k in incident[i]:
             e = skeleton.edges[k]
@@ -224,27 +223,23 @@ def build_trace_basis(mesh, skeleton, p, cache):
             for nid, ti in zip(ids, tt):
                 entries[int(slot[nid])] = 1.0 - ti
             cells.extend(e.cells)
-        emit(row, list(entries.keys()), list(entries.values()), cells)
-        labels.append(("node", i))
-        row += 1
+        emit(("node", i), not node.constrained, list(entries.keys()),
+             list(entries.values()), cells)
 
     if p == 2:
         for k, e in enumerate(skeleton.edges):
-            if e.on_dirichlet:
-                continue
             ids, t = edge_nodes[k]
             vals = 4.0 * t * (1.0 - t)
             if not np.any(vals > 0.0):
                 continue
-            emit(row, [int(slot[n]) for n in ids], list(vals), list(e.cells))
-            labels.append(("edge", k))
-            row += 1
+            emit(("edge", k), not e.on_dirichlet, [int(slot[n]) for n in ids],
+                 list(vals), list(e.cells))
 
-    n_free_nodes = sum(1 for n in skeleton.nodes if not n.constrained)
-    assert row >= n_free_nodes
-    T = coo_matrix((rows_v, (rows_i, rows_j)),
-                   shape=(row, len(cache.skeleton_fine))).tocsr()
-    return TraceBasis(p, T, labels, support, fine_nodes)
+    table = coo_matrix((rows_v, (rows_i, rows_j)),
+                       shape=(len(labels), len(cache.skeleton_fine))).tocsr()
+    free = np.flatnonzero(free)
+    return TraceBasis(p, table[free], [labels[j] for j in free],
+                      [support[j] for j in free], table, labels, support, edge_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -310,64 +305,51 @@ def _extend_rows(system, cache, trace_rows, support_cells):
                       shape=(k, system.dofmap.n_free)).tocsr()
 
 
-def _lift_trace(mesh, system, skeleton, p, cache, basis):
-    """Skeleton trace of the coarse interpolant of the Dirichlet data: hat
-    values at constrained coarse nodes, plus (p = 2) midpoint-matching
-    bubbles on Dirichlet edges.  Returns the trace on skeleton_fine and the
-    sorted cells its nonzero part touches, or None when the data is
-    identically zero."""
-    g = system.dirichlet_values
-    if not np.any(g):
-        return None
-    g_of_node = np.zeros(mesh.n_points)
-    g_of_node[system.dofmap.dirichlet_nodes] = g
-
-    fine_of_coarse, edge_nodes = basis.fine_nodes
-    gc = np.zeros(len(skeleton.nodes))
-    for i, node in enumerate(skeleton.nodes):
-        if node.constrained:
-            gc[i] = g_of_node[fine_of_coarse[i]]
-
-    trace = np.zeros(len(cache.skeleton_fine))
-    cells = set()
-    for k, e in enumerate(skeleton.edges):
-        a, b = e.endpoints
-        if gc[a] == 0.0 and gc[b] == 0.0 and not e.on_dirichlet:
-            continue
-        ids, t = edge_nodes[k]
-        vals = gc[a] * (1.0 - t) + gc[b] * t
-        if p == 2 and e.on_dirichlet:
-            g_mid = float(np.interp(0.5, t, g_of_node[ids]))
-            vals = vals + (g_mid - 0.5 * (gc[a] + gc[b])) * 4.0 * t * (1.0 - t)
-        trace[cache.slot_of_node[ids]] = vals
-        if np.any(vals):
-            cells.update(e.cells)
-
-    return trace, np.array(sorted(cells), dtype=np.int64)
+def _lift_coefficients(skeleton, basis, g):
+    """Coefficients on the trace table of the coarse interpolant of the
+    nodal Dirichlet data g, and the sorted cells of the rows they weight.
+    A constrained coarse node's hat weighs g at the node (read at the end
+    of an incident edge's fine node list); for p = 2, a Dirichlet edge's
+    bubble weighs the mismatch of g and the hats at the edge midpoint."""
+    g_node = np.zeros(len(skeleton.nodes))
+    for e, (ids, _) in zip(skeleton.edges, basis.edge_nodes):
+        g_node[list(e.endpoints)] = g[ids[[0, -1]]]
+    c = np.zeros(len(basis.table_labels))
+    for row, (kind, i) in enumerate(basis.table_labels):
+        if kind == "node" and skeleton.nodes[i].constrained:
+            c[row] = g_node[i]
+        elif kind == "edge" and skeleton.edges[i].on_dirichlet:
+            ids, t = basis.edge_nodes[i]
+            a, b = skeleton.edges[i].endpoints
+            c[row] = np.interp(0.5, t, g[ids]) - 0.5 * (g_node[a] + g_node[b])
+    cells = [basis.table_support[row] for row in np.flatnonzero(c)]
+    return c, np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]))
 
 
-def build_trefftz(mesh, system, skeleton, p, cache=None):
+def build_trefftz(mesh, system, skeleton, p, cache):
     """Assemble the harmonically-extended skeleton coarse space.
 
     Returns a CoarseSpace whose R holds the basis functions (rows) on free
     dofs and whose factorization solves the coarse Galerkin matrix.  When
     the system carries nonzero Dirichlet data, the space also stores its
-    coarse interpolant for use as an initial guess / affine offset; its
-    harmonic extension is one more row, and column, of the basis solve.
+    coarse interpolant for use as an initial guess / affine offset: its
+    trace is a combination of the trace table's rows, and its harmonic
+    extension is one more row, and column, of the basis solve.
     """
-    if cache is None:
-        cache = build_cell_cache(mesh, system, skeleton)
     basis = build_trace_basis(mesh, skeleton, p, cache)
     traces, support = basis.T, basis.support_cells
-    lift = _lift_trace(mesh, system, skeleton, p, cache, basis)
-    if lift is not None:
-        traces = vstack([traces, csr_matrix(lift[0])], format="csr")
-        support = support + [lift[1]]
+    lift = None
+    if np.any(system.dirichlet_values):
+        c, cells = _lift_coefficients(skeleton, basis,
+                                      system.expand(np.zeros(system.dofmap.n_free)))
+        lift = c @ basis.table
+        traces = vstack([traces, csr_matrix(lift)], format="csr")
+        support = support + [cells]
     R = _extend_rows(system, cache, traces, support)
     lift_full = None
     if lift is not None:
         lift_full = np.zeros(mesh.n_points)
-        lift_full[cache.skeleton_fine] = lift[0]
+        lift_full[cache.skeleton_fine] = lift
         row, R = R[basis.dim], R[:basis.dim]
         lift_full[system.dofmap.free_nodes[row.indices]] = row.data
     A_H = (R @ system.A @ R.T).tocsc()

@@ -198,25 +198,22 @@ def error_norms(mesh, u_full, exact):
     """Relative (L2, H1-seminorm) errors of a nodal field.
 
     `exact` is either a callable points -> (values, gradients), integrated
-    by quadrature, or a nested reference: a triple (ref_mesh, ref_field, P)
-    with the field's mesh nested in ref_mesh under prolongation P, or the
-    `NestedReference` that `nested_reference` builds from one.  The error
-    is then measured discretely on the reference mesh.  A triple has its
-    reference operators assembled on every call; a `NestedReference`
-    carries them, built once, so a call costs two sparse products.  Nesting
-    is checked on every call.
+    by quadrature, or the `NestedReference` that `nested_reference` builds
+    from a field on a refinement of the field's mesh.  The error is then
+    measured discretely on the reference mesh with the reference operators
+    the `NestedReference` carries, so a call costs two sparse products.
+    Nesting is checked on every call.
 
     A callable is called once per rule point (16 calls), each time on one
     point per triangle, so no temporary holds more than one value per
     triangle and coordinate.  The points are the barycentric combinations
     `p[:, :, d] @ lam` of the triangle vertices p.
     """
-    if isinstance(exact, tuple):
-        ref = exact if isinstance(exact, NestedReference) else nested_reference(mesh, *exact)
-        _check_nested(mesh, ref.mesh, ref.P)
-        e = ref.field - ref.P @ u_full
-        l2 = np.sqrt(e @ (ref.M @ e)) / ref.l2_norm
-        h1 = np.sqrt(e @ (ref.A @ e)) / ref.h1_norm
+    if isinstance(exact, NestedReference):
+        _check_nested(mesh, exact.mesh, exact.P)
+        e = exact.field - exact.P @ u_full
+        l2 = np.sqrt(e @ (exact.M @ e)) / exact.l2_norm
+        h1 = np.sqrt(e @ (exact.A @ e)) / exact.h1_norm
         return float(l2), float(h1)
 
     p, area, b, c = _geometry(mesh)

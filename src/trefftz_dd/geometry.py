@@ -51,9 +51,6 @@ class Rect:
     def area(self):
         return self.width * self.height
 
-    def contains(self, x, y):
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
     def contains_rect(self, other):
         return (self.x0 <= other.x0 and other.x1 <= self.x1
                 and self.y0 <= other.y0 and other.y1 <= self.y1)
@@ -139,9 +136,6 @@ class CoarsePartition:
         ix, iy = j % self.nx, j // self.nx
         xl, yl = self.x_lines(), self.y_lines()
         return Rect(xl[ix], yl[iy], xl[ix + 1], yl[iy + 1])
-
-    def cells(self):
-        return [self.cell(j) for j in range(self.n_cells)]
 
 
 def cell_extent(partition, j):

@@ -72,10 +72,6 @@ def build_dofmap(mesh):
     return DofMap(mesh.n_points, free, dirichlet, g2f)
 
 
-def signed_areas(points, triangles):
-    return gathered_areas(points[triangles])
-
-
 def gathered_areas(p):
     """Signed areas of triangles from their vertices p = points[triangles]."""
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])

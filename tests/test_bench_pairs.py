@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import side_spread, summarize  # noqa: E402
 
 
 def test_summarize_counts_pairs_and_ignores_missing_runs():
@@ -36,3 +36,14 @@ def test_pair_ratios_skip_zero_parents():
     table = summarize({"parent": parent[:1], "change": change[:1]}, ["failed"])
     assert table["failed"]["pair_ratio_median"] is None
     assert table["failed"]["pair_ratio_iqr"] is None
+
+
+def test_side_spread_of_attempted_operations():
+    runs = {"parent": [{"attempted": v} for v in (7, 9, 8, 8)],
+            "change": [{"attempted": v} for v in (6, 9)] + [{}]}
+    # parent sorted 7, 8, 8, 9: q1 = 7 + 0.75, q3 = 8 + 0.25; a run without
+    # the field is left out
+    assert side_spread(runs, "attempted") == {
+        "parent": {"median": 8.0, "iqr": [7.75, 8.25]},
+        "change": {"median": 7.5, "iqr": [6.75, 8.25]}}
+    assert side_spread({"parent": [{}], "change": []}, "attempted") == {}

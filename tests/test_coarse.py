@@ -21,7 +21,7 @@ from test_mesh import connected_components
 from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
                                SingularLocalSystem)
 from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
-from trefftz_dd.fem import assemble, solve_fine
+from trefftz_dd.fem import assemble, exact_lshape, solve_fine
 from trefftz_dd.geometry import (
     CoarsePartition,
     PerforatedDomain,
@@ -34,6 +34,7 @@ from trefftz_dd import coarse
 from trefftz_dd.coarse import (
     _AxisBuckets,
     _extend_rows,
+    _lift_coefficients,
     build_cell_cache,
     build_nicolaides,
     build_trace_basis,
@@ -154,7 +155,7 @@ def test_coarse_solution_is_a_projection():
 def test_constant_reproduced_exactly():
     for p in (1, 2):
         _, _, mesh, system, skel = lshape_setup(g=lambda pts: np.full(len(pts), 3.0))
-        space = build_trefftz(mesh, system, skel, p)
+        space = build_trefftz(mesh, system, skel, p, build_cell_cache(mesh, system, skel))
         u = coarse_approximation(system, space)
         assert np.abs(u - 3.0).max() < 1e-11
 
@@ -163,7 +164,7 @@ def test_linear_reproduced_on_unperforated_domain():
     for p in (1, 2):
         _, _, mesh, system, skel = square_setup(n=3, pitch=1.0 / 9.0,
                                                 g=lambda pts: pts[:, 0] - 2 * pts[:, 1])
-        space = build_trefftz(mesh, system, skel, p)
+        space = build_trefftz(mesh, system, skel, p, build_cell_cache(mesh, system, skel))
         u = coarse_approximation(system, space)
         want = mesh.points[:, 0] - 2 * mesh.points[:, 1]
         assert np.abs(u - want).max() < 1e-11
@@ -172,7 +173,7 @@ def test_linear_reproduced_on_unperforated_domain():
 def test_coarse_approximation_beats_lift_alone():
     _, _, mesh, system, skel = lshape_setup(
         pitch=1.0 / 24.0, g=lambda pts: np.cos(np.pi * pts[:, 0]) * pts[:, 1])
-    space = build_trefftz(mesh, system, skel, 1)
+    space = build_trefftz(mesh, system, skel, 1, build_cell_cache(mesh, system, skel))
     u_h = solve_fine(system)
     u_c = coarse_approximation(system, space)
     A = system.A_full
@@ -342,6 +343,91 @@ def test_node_off_skeleton():
     ref = refine_edges(skel, 2)  # splits land between pitch-1/3 nodes
     with pytest.raises(NodeOffSkeleton):
         build_trace_basis(mesh, ref, 1, cache)
+
+
+def _free_rows_reference(skel, cache, p):
+    """The basis traces built row by row: a hat for each free coarse node,
+    then (p = 2) a bubble for each non-Dirichlet edge with a fine node
+    strictly inside it."""
+    edge_nodes = [cache.buckets.on_segment(*skel.edge_points(e)) for e in skel.edges]
+    rows = []
+    for i, node in enumerate(skel.nodes):
+        if not node.constrained:
+            row = {}
+            for (ids, t), e in zip(edge_nodes, skel.edges):
+                if i in e.endpoints:
+                    tt = t if e.endpoints[0] == i else 1.0 - t
+                    row.update(zip(cache.slot_of_node[ids].tolist(), (1.0 - tt).tolist()))
+            rows.append(row)
+    for (ids, t), e in zip(edge_nodes, skel.edges):
+        vals = 4.0 * t * (1.0 - t)
+        if p == 2 and not e.on_dirichlet and np.any(vals > 0.0):
+            rows.append(dict(zip(cache.slot_of_node[ids].tolist(), vals.tolist())))
+    ri = [k for k, row in enumerate(rows) for _ in row]
+    rj = [j for row in rows for j in row]
+    rv = [v for row in rows for v in row.values()]
+    return coo_matrix((rv, (ri, rj)), shape=(len(rows), len(cache.skeleton_fine))).tocsr()
+
+
+def _lift_trace_reference(mesh, system, skel, p, cache):
+    """The lift's trace on skeleton_fine and its sorted support cells, edge
+    by edge: the hat interpolant of g at the constrained coarse nodes plus,
+    for p = 2, on each Dirichlet edge the bubble that matches g at the
+    edge midpoint."""
+    g = system.expand(np.zeros(system.dofmap.n_free))
+    gc = np.zeros(len(skel.nodes))
+    for i, node in enumerate(skel.nodes):
+        if node.constrained:
+            at = np.abs(mesh.points - node.position).max(axis=1) <= 1e-9
+            gc[i] = g[np.flatnonzero(at)[0]]
+    trace = np.zeros(len(cache.skeleton_fine))
+    cells = set()
+    for e in skel.edges:
+        a, b = e.endpoints
+        if gc[a] == 0.0 and gc[b] == 0.0 and not e.on_dirichlet:
+            continue
+        ids, t = cache.buckets.on_segment(*skel.edge_points(e))
+        vals = gc[a] * (1.0 - t) + gc[b] * t
+        if p == 2 and e.on_dirichlet:
+            g_mid = float(np.interp(0.5, t, g[ids]))
+            vals = vals + (g_mid - 0.5 * (gc[a] + gc[b])) * 4.0 * t * (1.0 - t)
+        trace[cache.slot_of_node[ids]] = vals
+        if np.any(vals):
+            cells.update(e.cells)
+    return trace, np.array(sorted(cells), dtype=np.int64)
+
+
+def _vanishing_at_coarse_nodes(pts):
+    """Zero at the skeleton nodes of the 3 x 3 L-shape (rounded, since 1/3
+    is not a float), but not at most edge midpoints: without edge
+    refinement, a p = 1 lift of zero and a p = 2 lift of bubbles alone."""
+    h = pts * (pts ** 2 - 1.0) * (pts ** 2 - 1.0 / 9.0)
+    return np.round(h[:, 0] + h[:, 1], 12)
+
+
+@pytest.mark.parametrize("pitch, n, rounds, g", [
+    (1.0 / 24.0, 3, 0, lambda pts: exact_lshape(pts)[0]),
+    (1.0 / 60.0, 3, 6, lambda pts: exact_lshape(pts)[0]),
+    (1.0 / 60.0, 5, 6, lambda pts: exact_lshape(pts)[0]),   # 1/24 does not divide 5 x 5
+    (1.0 / 24.0, 3, 0, _vanishing_at_coarse_nodes)])
+def test_trace_table_matches_edge_by_edge_lift(pitch, n, rounds, g):
+    _, _, mesh, _, skel0 = lshape_setup(pitch=pitch, n=n)
+    mesh = refine_toward(mesh, np.array([[0.0, 0.0]]), rounds)
+    system = assemble(mesh, g=g)
+    cache = build_cell_cache(mesh, system, skel0)
+    g = system.expand(np.zeros(system.dofmap.n_free))
+    tol = 16 * np.finfo(float).eps * np.abs(g).max()
+    for r in (0, 1, 2):
+        skel = refine_edges(skel0, r)
+        for p in (1, 2):
+            basis = build_trace_basis(mesh, skel, p, cache)
+            want = _free_rows_reference(skel, cache, p)
+            for name in ("indptr", "indices", "data"):
+                assert getattr(basis.T, name).tobytes() == getattr(want, name).tobytes()
+            trace, cells = _lift_trace_reference(mesh, system, skel, p, cache)
+            space = build_trefftz(mesh, system, skel, p, cache)
+            assert np.abs(space.lift_full[cache.skeleton_fine] - trace).max() <= tol, (r, p)
+            assert np.array_equal(_lift_coefficients(skel, basis, g)[1], cells), (r, p)
 
 
 def _cell_solvers(mesh, system, cache):
@@ -559,7 +645,7 @@ def test_interior_node_shared_by_two_cells_raises():
     cells[t] = 1
     bad = dataclasses.replace(mesh, cell_of_triangle=cells)
     with pytest.raises(GluingMismatch):
-        build_trefftz(bad, system, skel, 1)
+        build_cell_cache(bad, system, skel)
 
 
 def _with_added_entries(system, rows, cols, vals):

@@ -20,7 +20,7 @@ from trefftz_dd.experiments import (
     run_solver_study,
     write_csv,
 )
-from trefftz_dd.fem import assemble, error_norms, exact_lshape, solve_fine
+from trefftz_dd.fem import assemble, error_norms, exact_lshape, nested_reference, solve_fine
 from trefftz_dd.geometry import CoarsePartition, Rect, build_skeleton, refine_edges
 from trefftz_dd.mesh import generate_structured, refine_toward
 
@@ -84,7 +84,8 @@ def test_lshape_edge_study_coarse_part_identity():
     mesh = refine_toward(generate_structured(domain, part, pitch),
                          np.array([[0.0, 0.0]]), 1)
     system = assemble(mesh, g=lambda pts: exact_lshape(pts)[0])
-    fine = (mesh, solve_fine(system), sp.identity(mesh.n_points, format="csr"))
+    fine = nested_reference(mesh, mesh, solve_fine(system),
+                            sp.identity(mesh.n_points, format="csr"))
     skel = build_skeleton(domain, part)
     cache = build_cell_cache(mesh, system, skel)
     for p in (1, 2):

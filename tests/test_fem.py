@@ -27,12 +27,13 @@ from trefftz_dd.fem import (
     exact_lshape,
     lumped_load,
     mass_matrix,
+    nested_reference,
     solve_fine,
     stiffness_matrix,
 )
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
-from trefftz_dd.mesh import (DIRICHLET, Triangulation, build_dofmap, generate_structured,
-                             red_refine, refine_toward, signed_areas)
+from trefftz_dd.mesh import (DIRICHLET, Triangulation, build_dofmap, gathered_areas,
+                             generate_structured, red_refine, refine_toward)
 
 EPS = np.finfo(float).eps
 
@@ -125,7 +126,7 @@ def test_stiffness_matrix_stores_no_zeros(kind):
 def test_geometry_areas_match_signed_areas(kind):
     mesh = MESH_KINDS[kind]()
     p, area, _, _ = _geometry(mesh)
-    assert area.tobytes() == signed_areas(mesh.points, mesh.triangles).tobytes()
+    assert area.tobytes() == gathered_areas(mesh.points[mesh.triangles]).tobytes()
     assert p.tobytes() == mesh.points[mesh.triangles].tobytes()
     # the area-only forms: the mass matrix and the lumped load from the same areas
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -379,12 +380,15 @@ def test_nested_error_norms():
     u = rng.standard_normal(mesh.n_points)
     bump = rng.standard_normal(ref.n_points) * 1e-3
     ref_field = P @ u + bump
-    l2, h1 = error_norms(mesh, u, (ref, ref_field, P))
+    nested = nested_reference(mesh, ref, ref_field, P)
+    l2, h1 = error_norms(mesh, u, nested)
     M, A = mass_matrix(ref), stiffness_matrix(ref)
     assert l2 == pytest.approx(np.sqrt(bump @ (M @ bump) / (ref_field @ (M @ ref_field))), rel=1e-12)
     assert h1 == pytest.approx(np.sqrt(bump @ (A @ bump) / (ref_field @ (A @ ref_field))), rel=1e-12)
     with pytest.raises(MeshNotNested):
-        error_norms(ref, ref_field, (mesh, u, P))
+        nested_reference(ref, mesh, u, P)
+    with pytest.raises(MeshNotNested):   # nesting is checked on every call
+        error_norms(ref, ref_field, nested)
 
 
 def test_dirichlet_elimination_and_expand():

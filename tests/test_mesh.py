@@ -29,10 +29,10 @@ from trefftz_dd.mesh import (
     assign_cells,
     build_dofmap,
     build_overlap,
+    gathered_areas,
     generate_structured,
     red_refine,
     refine_toward,
-    signed_areas,
 )
 
 
@@ -48,7 +48,7 @@ def lshape(n=3):
 
 
 def total_area(mesh):
-    return signed_areas(mesh.points, mesh.triangles).sum()
+    return gathered_areas(mesh.points[mesh.triangles]).sum()
 
 
 def marker_length(mesh, marker):
@@ -72,7 +72,7 @@ def test_unit_square_structured():
     domain, part = unit_square()
     mesh = generate_structured(domain, part, 0.5)
     assert mesh.n_points == 9 and mesh.n_triangles == 8
-    assert (signed_areas(mesh.points, mesh.triangles) > 0).all()
+    assert (gathered_areas(mesh.points[mesh.triangles]) > 0).all()
     assert total_area(mesh) == pytest.approx(1.0)
     assert len(mesh.boundary_edges) == 8
     assert (mesh.boundary_marker == DIRICHLET).all()
@@ -165,7 +165,7 @@ def test_refine_toward_grades_and_conforms():
     fine = refine_toward(mesh, [(0.0, 0.0)], 3)
     assert fine.n_triangles > mesh.n_triangles
     assert_conforming(fine)
-    assert (signed_areas(fine.points, fine.triangles) > 0).all()
+    assert (gathered_areas(fine.points[fine.triangles]) > 0).all()
     assert total_area(fine) == pytest.approx(3.0)
     assert marker_length(fine, DIRICHLET) == pytest.approx(6.0)
     assert marker_length(fine, NEUMANN) == pytest.approx(2.0)
@@ -202,7 +202,7 @@ def test_refine_toward_two_targets():
     fine = refine_toward(mesh, [(0.0, 0.0), (-0.5, -0.5)], 3)
     assert (fine.n_points, fine.n_triangles) == (306, 556)
     assert_conforming(fine)
-    assert (signed_areas(fine.points, fine.triangles) > 0).all()
+    assert (gathered_areas(fine.points[fine.triangles]) > 0).all()
     assert total_area(fine) == pytest.approx(3.0)
     # both targets are graded: three rounds shrink diameters by 2^1.5 there
     p = fine.points[fine.triangles]
@@ -243,7 +243,7 @@ def _near_target_ref(p, targets):
 def test_near_targets_matches_scalar_reference():
     rng = np.random.default_rng(20231)
     p = rng.uniform(-1.0, 1.0, (300, 3, 2))
-    cw = signed_areas(p.reshape(-1, 2), np.arange(p.size // 2).reshape(-1, 3)) < 0
+    cw = gathered_areas(p) < 0
     p[cw] = p[cw][:, ::-1]
     # one whole-array call with shared targets scattered over [-4, 4]^2
     shared = rng.uniform(-4.0, 4.0, (5, 2))
@@ -278,7 +278,7 @@ def test_red_refine_prolongation():
     assert P.shape == (fine.n_points, mesh.n_points)
     assert total_area(fine) == pytest.approx(3.0)
     assert_conforming(fine)
-    assert (signed_areas(fine.points, fine.triangles) > 0).all()
+    assert (gathered_areas(fine.points[fine.triangles]) > 0).all()
     # coarse nodes keep their ids and positions
     assert np.array_equal(fine.points[:mesh.n_points], mesh.points)
     # P reproduces linear fields exactly

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from test_acceptance import _small_instance
 from trefftz_dd import fem, schwarz
-from trefftz_dd.coarse import build_trefftz, coarse_approximation
+from trefftz_dd.coarse import build_cell_cache, build_trefftz, coarse_approximation
 from trefftz_dd.errors import Divergence, MeshNotNested
 from trefftz_dd.experiments import write_csv
 from trefftz_dd.fem import assemble, exact_lshape, error_norms, solve_fine
@@ -40,6 +40,11 @@ def perforated_square(nx=4, ny=4, pitch=1.0 / 16.0, f=None, g=None):
     system = assemble(mesh, f=f, g=g)
     skel = build_skeleton(domain, part)
     return domain, part, mesh, system, skel
+
+
+def trefftz_p1(mesh, system, skel):
+    """The p = 1 Trefftz space on its own cell cache."""
+    return build_trefftz(mesh, system, skel, 1, build_cell_cache(mesh, system, skel))
 
 
 def dense_ras(system, overlap):
@@ -107,7 +112,7 @@ def test_two_level_matches_dense_oracle():
     rng = np.random.default_rng(5)
     _, _, mesh, system, skel = perforated_square(f=lambda pts: pts[:, 0])
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     ctx = build_schwarz(system, ov, coarse=space)
     M = dense_ras(system, ov) + dense_coarse(space, system.A)
     r = rng.standard_normal(system.dofmap.n_free)
@@ -128,7 +133,7 @@ def test_stacked_apply_matches_dense_on_urban(seed, nx, ny, data):
     layers = data.draw(st.lists(st.integers(0, 3), min_size=n_cells, max_size=n_cells))
     ov = build_overlap(mesh, system.dofmap, layers, n_cells=n_cells)
     assert len(ov.dof_sets[-1]) == 0
-    space = build_trefftz(mesh, system, build_skeleton(domain, part), 1)
+    space = trefftz_p1(mesh, system, build_skeleton(domain, part))
     ctx = build_schwarz(system, ov, coarse=space)
     n = system.dofmap.n_free
     assert np.abs(np.bincount(ctx.gather, ctx.weights, n) - 1.0).max() <= 1e-15
@@ -143,7 +148,7 @@ def test_hybrid_fixed_point_at_fine_solution():
     _, _, mesh, system, skel = perforated_square(f=lambda pts: np.ones(len(pts)),
                                                  g=lambda pts: pts[:, 1])
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u_h = solve_fine(system)
@@ -156,7 +161,7 @@ def test_hybrid_one_iteration_closed_form():
     _, _, mesh, system, skel = perforated_square(
         f=lambda pts: np.sin(3 * pts[:, 0]) + pts[:, 1])
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u1, report = hybrid_iterate(ctx, monitor, max_iters=1)
@@ -177,7 +182,7 @@ def test_hybrid_one_iteration_closed_form():
 def test_hybrid_error_a_orthogonal_to_coarse_space():
     _, _, mesh, system, skel = perforated_square(f=lambda pts: np.cos(pts[:, 0]))
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u_h = system.restrict(solve_fine(system))
@@ -193,7 +198,7 @@ def test_hybrid_converges_and_plateau_stops():
         pitch=1.0 / 32.0, f=lambda pts: np.ones(len(pts)),
         g=lambda pts: pts[:, 0] * pts[:, 1])
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u, report = hybrid_iterate(ctx, monitor, tol=1e-10, max_iters=200)
@@ -210,7 +215,7 @@ def test_hybrid_converges_and_plateau_stops():
 def test_hybrid_divergence_guard():
     _, _, mesh, system, skel = perforated_square(f=lambda pts: np.ones(len(pts)))
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     good = build_schwarz(system, ov, coarse=space)
     # flipped weights turn the RAS sweep into an error amplifier
     bad = dataclasses.replace(good, weights=-good.weights)
@@ -225,7 +230,7 @@ def test_two_level_beats_one_level():
     _, _, mesh, system, skel = perforated_square(pitch=1.0 / 32.0,
                                                  f=lambda pts: np.ones(len(pts)))
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     one = build_schwarz(system, ov)
     two = build_schwarz(system, ov, coarse=space)
     u1, rep1 = solve_pgmres(one, rel_tol=1e-8)
@@ -242,7 +247,7 @@ def test_pgmres_error_tol_stop():
     _, _, mesh, system, skel = perforated_square(pitch=1.0 / 32.0,
                                                  f=lambda pts: np.ones(len(pts)))
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=16)
-    space = build_trefftz(mesh, system, skel, 1)
+    space = trefftz_p1(mesh, system, skel)
     ctx = build_schwarz(system, ov, coarse=space)
     monitor = ErrorMonitor(mesh, system)
     u, report = solve_pgmres(ctx, monitor, error_tol=1e-6)
@@ -263,7 +268,7 @@ def test_monitor_full_error_and_csv(tmp_path):
     system = assemble(mesh, g=lambda pts: exact_lshape(pts)[0])
     skel = build_skeleton(domain, part)
     ov = build_overlap(mesh, system.dofmap, 1, n_cells=9)
-    ctx = build_schwarz(system, ov, coarse=build_trefftz(mesh, system, skel, 1))
+    ctx = build_schwarz(system, ov, coarse=trefftz_p1(mesh, system, skel))
     monitor = ErrorMonitor(mesh, system, exact=exact_lshape)
     u, report = hybrid_iterate(ctx, monitor, tol=1e-9, max_iters=100)
     assert report.converged
@@ -304,8 +309,9 @@ def test_monitor_builds_nested_reference_once(monkeypatch):
     recorded = [monitor.record(u)[2:] for u in fields]
     assert sorted(built) == [("mass_matrix", True), ("stiffness_matrix", True)]
     monkeypatch.undo()
+    nested = fem.nested_reference(mesh, ref, ref_field, P)
     for u, full in zip(fields, recorded):
-        assert full == error_norms(mesh, u, (ref, ref_field, P))   # bitwise
+        assert full == error_norms(mesh, u, nested)   # bitwise
 
 
 def test_monitor_rejects_unnested_reference_before_solving(monkeypatch):

@@ -22,8 +22,13 @@ better (lower, for every metric the benchmark declares), ties counting for
 neither side; the median and inclusive quartiles of the per-pair
 change/parent ratios (`pair_ratio_median`, `pair_ratio_iqr`), which cancel
 what both runs of a pair share, such as the size of the seed's geometry;
-plus every run and the traced per-layer metrics.  The file is
-rewritten after every pair, so an interrupted run keeps the pairs it finished.
+plus every run and the traced per-layer metrics.  Per workload it also
+holds each side's median and inclusive quartiles of `attempted`, the
+operations a run fitted into its fixed length: a side that fits more
+sweeps takes more samples of every step, which can move the medians of
+steps the change did not touch.  Fewer operations is not better, so
+`attempted` has no `change_wins`.  The file is rewritten after every pair,
+so an interrupted run keeps the pairs it finished.
 """
 import argparse
 import json
@@ -104,6 +109,16 @@ def summarize(runs, metrics):
     return table
 
 
+def side_spread(runs, name):
+    """Each side's median and inclusive quartiles of `name` over its runs."""
+    table = {}
+    for side, rows in runs.items():
+        vals = [row[name] for row in rows if name in row]
+        if vals:
+            table[side] = {"median": statistics.median(vals), "iqr": quartiles(vals)}
+    return table
+
+
 def values(result):
     """Metric name -> value, floats rounded to 4 decimals."""
     return {k: round(m["value"], 4) if isinstance(m["value"], float) else m["value"]
@@ -149,7 +164,8 @@ def main(argv=None):
                "fields": "median and inclusive quartiles over runs; change_wins "
                          "counts pairs where the change's value is lower; "
                          "pair_ratio_median/_iqr over the per-pair change/parent "
-                         "ratios"},
+                         "ratios; attempted: each side's median and quartiles "
+                         "of the operations per run, with no change_wins"},
            "workloads": {}}
 
     def save():
@@ -172,6 +188,7 @@ def main(argv=None):
                                        scipy=prov["scipy"])
             entry["pairs"] = i + 1
             entry["metrics"] = summarize(entry["runs"], metrics)
+            entry["attempted"] = side_spread(entry["runs"], "attempted")
             print(workload, seed, {k: (v["parent_median"], v["change_median"],
                                        v["change_wins"])
                                    for k, v in entry["metrics"].items()}, flush=True)
