@@ -91,7 +91,8 @@ def _edge_node_lists(skeleton, buckets):
         pa, pb = skeleton.edge_points(e)
         ids, t = buckets.on_segment(pa, pb)
         if len(ids) < 2 or abs(t[0]) > 1e-9 or abs(t[-1] - 1.0) > 1e-9:
-            raise NodeOffSkeleton(e.endpoints[0], pa)
+            off = int(len(ids) > 0 and abs(t[0]) <= 1e-9)   # the end that misses
+            raise NodeOffSkeleton(e.endpoints[off], (pa, pb)[off])
         edge_nodes.append((ids, t))
     return edge_nodes
 
@@ -220,8 +221,7 @@ def build_trace_basis(mesh, skeleton, p, cache):
             e = skeleton.edges[k]
             ids, t = edge_nodes[k]
             tt = t if e.endpoints[0] == i else 1.0 - t
-            for nid, ti in zip(ids, tt):
-                entries[int(slot[nid])] = 1.0 - ti
+            entries.update(zip(slot[ids].tolist(), (1.0 - tt).tolist()))
             cells.extend(e.cells)
         emit(("node", i), not node.constrained, list(entries.keys()),
              list(entries.values()), cells)
@@ -232,8 +232,8 @@ def build_trace_basis(mesh, skeleton, p, cache):
             vals = 4.0 * t * (1.0 - t)
             if not np.any(vals > 0.0):
                 continue
-            emit(("edge", k), not e.on_dirichlet, [int(slot[n]) for n in ids],
-                 list(vals), list(e.cells))
+            emit(("edge", k), not e.on_dirichlet, slot[ids].tolist(), vals.tolist(),
+                 list(e.cells))
 
     table = coo_matrix((rows_v, (rows_i, rows_j)),
                        shape=(len(labels), len(cache.skeleton_fine))).tocsr()

@@ -341,8 +341,11 @@ def test_node_off_skeleton():
     _, _, mesh, system, skel = lshape_setup(pitch=1.0 / 3.0)
     cache = build_cell_cache(mesh, system, skel)
     ref = refine_edges(skel, 2)  # splits land between pitch-1/3 nodes
-    with pytest.raises(NodeOffSkeleton):
+    with pytest.raises(NodeOffSkeleton) as exc:
         build_trace_basis(mesh, ref, 1, cache)
+    # the error names a coarse node that no mesh node sits on
+    assert exc.value.position == ref.nodes[exc.value.node].position
+    assert np.abs(mesh.points - exc.value.position).max(axis=1).min() > 0.01
 
 
 def _free_rows_reference(skel, cache, p):

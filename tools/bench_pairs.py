@@ -24,10 +24,10 @@ change/parent ratios (`pair_ratio_median`, `pair_ratio_iqr`), which cancel
 what both runs of a pair share, such as the size of the seed's geometry;
 plus every run and the traced per-layer metrics.  Per workload it also
 holds each side's median and inclusive quartiles of `attempted`, the
-operations a run fitted into its fixed length: a side that fits more
-sweeps takes more samples of every step, which can move the medians of
-steps the change did not touch.  Fewer operations is not better, so
-`attempted` has no `change_wins`.  The file is rewritten after every pair,
+output checks a run made, which grow with the sweeps it fitted into its
+fixed length: a side that fits more sweeps takes more samples of every
+step, which can move the medians of steps the change did not touch.
+Fewer checks is not better, so `attempted` has no `change_wins`.  The file is rewritten after every pair,
 so an interrupted run keeps the pairs it finished.
 """
 import argparse
@@ -165,7 +165,7 @@ def main(argv=None):
                          "counts pairs where the change's value is lower; "
                          "pair_ratio_median/_iqr over the per-pair change/parent "
                          "ratios; attempted: each side's median and quartiles "
-                         "of the operations per run, with no change_wins"},
+                         "of the output checks per run, with no change_wins"},
            "workloads": {}}
 
     def save():
