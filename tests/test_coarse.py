@@ -408,11 +408,16 @@ def _vanishing_at_coarse_nodes(pts):
     return np.round(h[:, 0] + h[:, 1], 12)
 
 
+def _exact_values(pts):
+    return exact_lshape(pts)[0]
+
+
 @pytest.mark.parametrize("pitch, n, rounds, g", [
-    (1.0 / 24.0, 3, 0, lambda pts: exact_lshape(pts)[0]),
-    (1.0 / 60.0, 3, 6, lambda pts: exact_lshape(pts)[0]),
-    (1.0 / 60.0, 5, 6, lambda pts: exact_lshape(pts)[0]),   # 1/24 does not divide 5 x 5
-    (1.0 / 24.0, 3, 0, _vanishing_at_coarse_nodes)])
+    (1.0 / 24.0, 3, 0, _exact_values),
+    (1.0 / 60.0, 3, 6, _exact_values),
+    (1.0 / 60.0, 5, 6, _exact_values),   # pitch 1/24 does not divide 5 x 5 cells
+    (1.0 / 24.0, 3, 0, _vanishing_at_coarse_nodes)],
+    ids=["24-3x3", "60-graded-3x3", "60-graded-5x5", "24-3x3-bubbles-only"])
 def test_trace_table_matches_edge_by_edge_lift(pitch, n, rounds, g):
     _, _, mesh, _, skel0 = lshape_setup(pitch=pitch, n=n)
     mesh = refine_toward(mesh, np.array([[0.0, 0.0]]), rounds)
