@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import snap
 from .mesh import _all_edges, _stacked
-from .numerics import Factorization
+from .numerics import BlockFactorization, Factorization
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +107,12 @@ class CellCache:
     The mesh nodes off the skeleton are the interiors of the coarse cells,
     listed cell after cell.  Two cells couple only through the skeleton,
     so A_II, the block of A_full on those nodes, is block diagonal, and one
-    factorization of it solves every cell at once: the discrete-harmonic
-    extension of skeleton values g is -A_II^{-1} A_IΓ g (substructuring, as
-    in Smith, Bjørstad & Gropp, Domain Decomposition, 1996).  Depends only
-    on the mesh and the skeleton's geometry, so one cache serves every
-    trace degree p and every edge-refinement level r.
+    factorization of it, in pieces of whole cells, solves every cell at
+    once: the discrete-harmonic extension of skeleton values g is
+    -A_II^{-1} A_IΓ g (substructuring, as in Smith, Bjørstad & Gropp,
+    Domain Decomposition, 1996).  Depends only on the mesh and the
+    skeleton's geometry, so one cache serves every trace degree p and every
+    edge-refinement level r.
     """
 
     skeleton_fine: np.ndarray       # sorted mesh node ids on the skeleton
@@ -119,7 +120,7 @@ class CellCache:
     interior: np.ndarray            # interior node ids, by cell, then ascending
     interior_cell: np.ndarray       # the cell of each interior node (ascending)
     A_it: csr_matrix                # A_IΓ: interior x skeleton_fine coupling
-    fact: Factorization             # of A_II, interior x interior
+    fact: BlockFactorization        # of A_II, interior x interior
     buckets: _AxisBuckets = field(repr=False, default=None)
 
 
@@ -147,7 +148,7 @@ def build_cell_cache(mesh, system, skeleton):
     A_i = system.A_full.tocsr()[interior]
     A_ii, A_it = A_i[:, interior], A_i[:, skeleton_fine]
     try:
-        fact = Factorization(A_ii)
+        fact = BlockFactorization(A_ii, interior_cell)
     except NotPositiveDefinite as exc:
         k = exc.index
         if k < 0:  # an exactly zero pivot names no column: name a node of an

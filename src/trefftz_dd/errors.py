@@ -50,10 +50,12 @@ class NotPositiveDefinite(ArithmeticError):
 
 
 class NodeOffSkeleton(ValueError):
-    """A fine node tagged as a skeleton node lies on no coarse edge."""
+    """A coarse skeleton node is not a node of the fine mesh, so the traces
+    of its edges cannot be sampled there."""
 
     def __init__(self, node, position):
-        super().__init__("fine node %d at %r lies on no skeleton edge" % (node, position))
+        super().__init__("coarse node %d at %r is not a node of the fine mesh"
+                         % (node, position))
         self.node = node
         self.position = position
 

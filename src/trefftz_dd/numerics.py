@@ -2,23 +2,34 @@
 
 The factorization wraps SuperLU configured for symmetric positive definite
 matrices (symmetric mode, no off-diagonal pivoting) and turns the factor
-diagonal into a definiteness certificate.  GMRES is written out explicitly
-because the solvers here need left preconditioning together with per-
-iteration iterate access for error monitors and monitor-driven stopping.
+diagonal into a definiteness certificate.  A block-diagonal matrix is
+factorized in a fixed number of pieces at once, one of them on a worker
+thread (SuperLU's factorization releases the GIL).  GMRES is written out
+explicitly because the solvers here need left preconditioning together
+with per-iteration iterate access for error monitors and monitor-driven
+stopping.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DimMismatch, NotPositiveDefinite
 
 #: pivots below this are treated as a Krylov-basis breakdown
 BREAKDOWN = 1e-300
+
+#: pieces a BlockFactorization cuts its matrix into.  Fixed, not read from
+#: the host, so the factors and every output are the same on any core count.
+PIECES = 2
+
+#: factorizes every piece but the last while the calling thread does the last
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="trefftz-dd-factor")
 
 
 class Factorization:
@@ -62,6 +73,77 @@ class Factorization:
         if self.n == 0:
             return b.copy()
         return self._lu.solve(b)
+
+
+def _factor(A):
+    """Factorization(A), or the NotPositiveDefinite it raised."""
+    try:
+        return Factorization(A)
+    except NotPositiveDefinite as exc:
+        return exc
+
+
+class BlockFactorization:
+    """Direct solver for a sparse SPD matrix that is block diagonal with
+    respect to the nondecreasing row labels `block`.
+
+    The rows are cut into PIECES contiguous pieces at label boundaries, each
+    cut at the boundary nearest an equal share of the stored entries (one
+    label gives one piece).  Every piece but the last is factorized on the
+    module's worker thread while the calling thread factorizes the last.
+    Each piece is a plain Factorization, so its factors do not depend on
+    the thread or the core count; iterating yields the pieces in row order.
+    A NotPositiveDefinite index is in the whole matrix's numbering (−1
+    stays −1).  A stored entry that couples two pieces raises ValueError.
+    """
+
+    def __init__(self, A, block):
+        if A.shape[0] != A.shape[1]:
+            raise DimMismatch("cannot factorize a %s matrix" % (A.shape,))
+        self.n = n = A.shape[0]
+        block = np.asarray(block)
+        if block.shape != (n,) or np.any(np.diff(block) < 0):
+            raise ValueError("need one nondecreasing block label per row")
+        A = coo_matrix(A)
+        entries = np.concatenate([[0], np.cumsum(np.bincount(A.row, minlength=n))])
+        starts = np.flatnonzero(np.diff(block)) + 1     # where a new label begins
+        share = entries[-1] * np.arange(1, PIECES) / PIECES
+        cuts = []
+        if len(starts):
+            cuts = starts[np.abs(entries[starts][:, None] - share).argmin(axis=0)]
+        self.bounds = np.concatenate([[0], np.unique(cuts), [n]]).astype(np.int64)
+        piece = np.searchsorted(self.bounds, A.row, side="right") - 1
+        cross = np.flatnonzero(piece != np.searchsorted(self.bounds, A.col, side="right") - 1)
+        if len(cross):
+            k = cross[0]
+            raise ValueError("entry (%d, %d) couples two pieces" % (A.row[k], A.col[k]))
+        parts = []
+        for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+            sel = piece == k
+            parts.append(csc_matrix((A.data[sel], (A.row[sel] - lo, A.col[sel] - lo)),
+                                    shape=(hi - lo, hi - lo)))
+        del A, piece    # only the pieces stay alive while they are factorized
+        futures = [_WORKER.submit(_factor, part) for part in parts[:-1]]
+        last = _factor(parts[-1])
+        self.pieces = [f.result() for f in futures] + [last]
+        for lo, fact in zip(self.bounds, self.pieces):
+            if isinstance(fact, NotPositiveDefinite):
+                index = fact.index + lo if fact.index >= 0 else -1
+                raise NotPositiveDefinite(int(index), str(fact)) from fact
+
+    def __iter__(self):
+        return iter(self.pieces)
+
+    def solve(self, b):
+        """Solve piece after piece into one array shaped like b (1-D or 2-D)."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.n:
+            raise DimMismatch("factorization is %d x %d but vector has length %d"
+                              % (self.n, self.n, b.shape[0]))
+        x = np.empty_like(b)
+        for fact, lo, hi in zip(self.pieces, self.bounds[:-1], self.bounds[1:]):
+            x[lo:hi] = fact.solve(b[lo:hi])
+        return x
 
 
 @dataclass

@@ -11,14 +11,14 @@ point does not converge).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .coarse import CoarseSpace, coarse_approximation
 from .errors import Divergence
 from .fem import (AssembledSystem, NestedReference, error_norms, mass_matrix,
                   nested_reference, solve_fine)
 from .mesh import _stacked
-from .numerics import Factorization, GmresOptions, gmres
+from .numerics import BlockFactorization, GmresOptions, gmres
 
 REPORT_COLUMNS = "iter,res_norm,alg_err_L2,alg_err_H1,full_err_L2,full_err_H1"
 
@@ -29,15 +29,13 @@ class SchwarzContext:
 
     `gather` concatenates the overlap's free-dof sets, subdomain after
     subdomain (G r = r[gather]); `weights` holds 1/multiplicity on each
-    stacked entry.  `facts` is a list holding the one factorization of the
-    block-diagonal matrix diag(A_j'); it stays a list, not a single
-    Factorization, because `benchmarks/workloads.py` sums the SuperLU fill
-    over the entries of `ctx.facts`.
+    stacked entry.  `facts` factorizes the block-diagonal matrix diag(A_j')
+    in pieces of whole subdomains; iterating over it yields the pieces.
     """
     system: AssembledSystem
     gather: np.ndarray              # stacked free-dof indices, int64
     weights: np.ndarray             # 1/multiplicity per stacked entry
-    facts: list                     # [Factorization of diag(A_j')]
+    facts: BlockFactorization       # of diag(A_j')
     coarse: CoarseSpace | None = None
 
 
@@ -46,26 +44,26 @@ def build_schwarz(system, overlap, coarse=None):
 
     With G the gather matrix of the concatenated subdomain dof sets, G A G^T
     holds A_j' in its diagonal blocks; entries coupling two subdomains are
-    dropped, and the block-diagonal rest is factorized once.  Empty
-    subdomains contribute no rows.
+    dropped, and the block-diagonal rest is factorized once, in pieces of
+    whole subdomains.  Empty subdomains contribute no rows.
     """
     gather, block = _stacked(overlap.dof_sets)
     n_stack, n = len(gather), system.dofmap.n_free
     G = csr_matrix((np.ones(n_stack), (np.arange(n_stack), gather)), shape=(n_stack, n))
     GAG = (G @ system.A @ G.T).tocoo()
     keep = block[GAG.row] == block[GAG.col]
-    local = csc_matrix((GAG.data[keep], (GAG.row[keep], GAG.col[keep])),
+    local = coo_matrix((GAG.data[keep], (GAG.row[keep], GAG.col[keep])),
                        shape=(n_stack, n_stack))
-    fact = Factorization(local)
-    return SchwarzContext(system, gather, 1.0 / overlap.multiplicity[gather], [fact],
-                          coarse)
+    del GAG
+    return SchwarzContext(system, gather, 1.0 / overlap.multiplicity[gather],
+                          BlockFactorization(local, block), coarse)
 
 
 def apply_ras(ctx, r):
     """z = sum_j R_j'^T D_j (A_j')^{-1} R_j' r = G^T (w * LU^{-1} (G r)).
 
     The scatter adds the subdomain pieces in subdomain order."""
-    z = ctx.weights * ctx.facts[0].solve(r[ctx.gather])
+    z = ctx.weights * ctx.facts.solve(r[ctx.gather])
     return np.bincount(ctx.gather, weights=z, minlength=len(r))
 
 

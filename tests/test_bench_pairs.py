@@ -7,7 +7,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
-from bench_pairs import side_spread, summarize  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import record, side_spread, summarize  # noqa: E402
 
 
 def test_summarize_counts_pairs_and_ignores_missing_runs():
@@ -47,3 +48,15 @@ def test_side_spread_of_attempted_operations():
         "parent": {"median": 8.0, "iqr": [7.75, 8.25]},
         "change": {"median": 7.5, "iqr": [6.75, 8.25]}}
     assert side_spread({"parent": [{}], "change": []}, "attempted") == {}
+
+
+def test_record_keeps_the_load_before_the_run(monkeypatch):
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (1.23456, 0.5, 0.25))
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 1})
+    load = bench_pairs.host_load()
+    assert load == {"load_1min": 1.23, "cpus": 2}
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {"wall_s": {"value": 2.123456}}}
+    row = record(result, 101, load)
+    assert row == {"seed": 101, "correct": True, "attempted": 4, "failed": 0,
+                   "load_1min": 1.23, "cpus": 2, "wall_s": 2.1235}

@@ -21,6 +21,7 @@ from test_mesh import connected_components
 from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
                                SingularLocalSystem)
 from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
+from trefftz_dd.numerics import PIECES
 from trefftz_dd.fem import assemble, exact_lshape, solve_fine
 from trefftz_dd.geometry import (
     CoarsePartition,
@@ -346,6 +347,8 @@ def test_node_off_skeleton():
     # the error names a coarse node that no mesh node sits on
     assert exc.value.position == ref.nodes[exc.value.node].position
     assert np.abs(mesh.points - exc.value.position).max(axis=1).min() > 0.01
+    assert str(exc.value) == "coarse node %d at %r is not a node of the fine mesh" % (
+        exc.value.node, exc.value.position)
 
 
 def _free_rows_reference(skel, cache, p):
@@ -666,6 +669,10 @@ def _with_added_entries(system, rows, cols, vals):
 def test_singular_interior_names_its_cell(cell):
     _, _, mesh, system, skel = square_setup()
     cache = build_cell_cache(mesh, system, skel)
+    # cells 2 and 3 are factorized in the second piece, so the cell named
+    # comes from an index shifted back to the whole interior numbering
+    lo, hi = cache.fact.bounds[1:3]
+    assert np.isin([2, 3], cache.interior_cell[lo:hi]).all()
     nodes = np.unique(mesh.triangles[mesh.cell_of_triangle == cell])
     a, b = nodes[cache.slot_of_node[nodes] < 0][:2]
     diag = system.A_full.diagonal()
@@ -710,13 +717,16 @@ def test_floating_interior_names_its_cell():
 
 
 def test_one_factorization_per_cell_cache(monkeypatch):
-    # the cell interiors are factorized together, not cell by cell
+    # the cell interiors are factorized together, not cell by cell: one
+    # block factorization in at most PIECES pieces of whole cells
     _, _, lmesh, lsystem, lskel = lshape_setup()
     domain, part, umesh = _small_instance(5, 4, 4)
     cases = [(lmesh, lsystem, lskel),
              (umesh, assemble(umesh), build_skeleton(domain, part))]
-    calls = _count_calls(monkeypatch, (coarse, "Factorization"))
+    calls = _count_calls(monkeypatch, (coarse, "BlockFactorization"),
+                         (coarse, "Factorization"))
     for mesh, system, skel in cases:
-        calls["Factorization"] = 0
-        build_cell_cache(mesh, system, skel)
-        assert calls["Factorization"] == 1
+        calls.update(BlockFactorization=0, Factorization=0)
+        cache = build_cell_cache(mesh, system, skel)
+        assert calls == {"BlockFactorization": 1, "Factorization": 0}
+        assert 1 <= len(list(cache.fact)) <= PIECES

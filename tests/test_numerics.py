@@ -4,7 +4,8 @@ import pytest
 from scipy.sparse import block_diag, csr_matrix, diags, random as sparse_random
 
 from trefftz_dd.errors import DimMismatch, NotPositiveDefinite
-from trefftz_dd.numerics import Factorization, GmresOptions, gmres
+from trefftz_dd.numerics import (PIECES, BlockFactorization, Factorization,
+                                  GmresOptions, gmres)
 
 
 def random_spd(rng, n, density=0.3):
@@ -49,6 +50,91 @@ def test_factorization_validates_input():
 def test_factorization_empty():
     f = Factorization(csr_matrix((0, 0)))
     assert f.solve(np.zeros(0)).shape == (0,)
+
+
+def block_stack(rng, sizes):
+    """A block-diagonal SPD matrix with blocks of the given sizes, and the
+    block label of each row."""
+    blocks = [random_spd(rng, m) for m in sizes]
+    return block_diag(blocks, format="csr"), np.repeat(np.arange(len(sizes)), sizes)
+
+
+def test_block_factorization_matches_dense_solve():
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        sizes = rng.integers(1, 40, size=int(rng.integers(2, 9)))
+        A, block = block_stack(rng, sizes)
+        fact = BlockFactorization(A, block)
+        assert len(list(fact)) == PIECES
+        dense = A.toarray()
+        for b in (rng.standard_normal(A.shape[0]), rng.standard_normal((A.shape[0], 3))):
+            x = fact.solve(b)
+            want = np.linalg.solve(dense, b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    with pytest.raises(DimMismatch):
+        fact.solve(np.ones(A.shape[0] + 1))
+
+
+def test_block_factorization_cuts_on_label_boundaries():
+    rng = np.random.default_rng(8)
+    A, _ = block_stack(rng, [6, 9])
+    fact = BlockFactorization(A, np.zeros(15, dtype=int))   # one label, one piece
+    assert [f.n for f in fact] == [15]
+    assert fact.bounds.tolist() == [0, 15]
+    for _ in range(20):
+        sizes = rng.integers(1, 12, size=int(rng.integers(2, 12)))
+        A, block = block_stack(rng, sizes)
+        fact = BlockFactorization(A, block)
+        cuts = fact.bounds[1:-1]
+        assert len(cuts) == PIECES - 1
+        assert (block[cuts] != block[cuts - 1]).all()    # a cut starts a new label
+        assert [f.n for f in fact] == np.diff(fact.bounds).tolist()
+        # no other label boundary balances the stored entries better
+        entries = np.concatenate([[0], np.cumsum(A.getnnz(axis=1))])
+        starts = np.flatnonzero(np.diff(block)) + 1
+        assert abs(2 * entries[cuts[0]] - entries[-1]) == \
+            np.abs(2 * entries[starts] - entries[-1]).min()
+    empty = BlockFactorization(csr_matrix((0, 0)), np.zeros(0, dtype=int))
+    assert empty.solve(np.zeros(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        BlockFactorization(A, block[::-1])               # labels must not decrease
+
+
+def test_block_factorization_names_global_index():
+    rng = np.random.default_rng(4)
+    A, block = block_stack(rng, [5, 5, 5, 5])
+    assert BlockFactorization(A, block).bounds.tolist() == [0, 10, 20]
+    # a nonpositive diagonal entry in the second piece
+    bad = A.tolil()
+    bad[13, 13] = -1.0
+    with pytest.raises(NotPositiveDefinite) as exc:
+        BlockFactorization(bad.tocsr(), block)
+    assert exc.value.index == 13 and "diagonal" in str(exc.value)
+    # a positive diagonal but an indefinite 2x2 minor: only a pivot shows it
+    bad = A.tolil()
+    big = 10.0 * A.diagonal().max()
+    bad[16, 17] = bad[17, 16] = big
+    with pytest.raises(NotPositiveDefinite) as exc:
+        BlockFactorization(bad.tocsr(), block)
+    assert exc.value.index in (16, 17) and "pivot" in str(exc.value)
+
+
+def test_block_factorization_refuses_coupled_pieces():
+    rng = np.random.default_rng(6)
+    A, block = block_stack(rng, [4, 4])
+    coupled = A.tolil()
+    coupled[2, 6] = coupled[6, 2] = -0.1
+    with pytest.raises(ValueError, match="couples two pieces"):
+        BlockFactorization(coupled.tocsr(), block)
+
+
+def test_block_factorization_is_reproducible():
+    rng = np.random.default_rng(12)
+    A, block = block_stack(rng, rng.integers(20, 60, size=7))
+    b = rng.standard_normal((A.shape[0], 2))
+    first, second = (BlockFactorization(A, block).solve(b) for _ in range(2))
+    assert np.array_equal(first, second)
 
 
 def test_gmres_solves_spd_system():

@@ -135,6 +135,9 @@ def test_stacked_apply_matches_dense_on_urban(seed, nx, ny, data):
     assert len(ov.dof_sets[-1]) == 0
     space = trefftz_p1(mesh, system, build_skeleton(domain, part))
     ctx = build_schwarz(system, ov, coarse=space)
+    # with two or more nonempty subdomains the oracle also covers the cut
+    if sum(len(d) > 0 for d in ov.dof_sets) >= 2:
+        assert len(list(ctx.facts)) == 2
     n = system.dofmap.n_free
     assert np.abs(np.bincount(ctx.gather, ctx.weights, n) - 1.0).max() <= 1e-15
     M_ras = dense_ras(system, ov)

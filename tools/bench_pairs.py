@@ -27,8 +27,12 @@ holds each side's median and inclusive quartiles of `attempted`, the
 output checks a run made, which grow with the sweeps it fitted into its
 fixed length: a side that fits more sweeps takes more samples of every
 step, which can move the medians of steps the change did not touch.
-Fewer checks is not better, so `attempted` has no `change_wins`.  The file is rewritten after every pair,
-so an interrupted run keeps the pairs it finished.
+Fewer checks is not better, so `attempted` has no `change_wins`.  Every
+run also records the host's 1-minute load average just before it started
+(`load_1min`) and the number of cores the run may use (`cpus`): the gain
+of a change that factorizes on two threads depends on the second core
+being free.  The file is rewritten after every pair, so an interrupted run
+keeps the pairs it finished.
 """
 import argparse
 import json
@@ -125,9 +129,17 @@ def values(result):
             for k, m in result["metrics"].items()}
 
 
-def record(result, seed):
+def host_load():
+    """The 1-minute load average and the number of cores this process (and
+    the run it starts) may use."""
+    return {"load_1min": round(os.getloadavg()[0], 2),
+            "cpus": len(os.sched_getaffinity(0))}
+
+
+def record(result, seed, load):
     row = {"seed": seed, "correct": result["correct"],
            "attempted": result["attempted"], "failed": result["failed"]}
+    row.update(load)
     row.update(values(result))
     return row
 
@@ -165,7 +177,9 @@ def main(argv=None):
                          "counts pairs where the change's value is lower; "
                          "pair_ratio_median/_iqr over the per-pair change/parent "
                          "ratios; attempted: each side's median and quartiles "
-                         "of the output checks per run, with no change_wins"},
+                         "of the output checks per run, with no change_wins; "
+                         "each run's load_1min (1-minute load average before "
+                         "it) and cpus (cores it may use)"},
            "workloads": {}}
 
     def save():
@@ -180,8 +194,9 @@ def main(argv=None):
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
+                load = host_load()
                 result, prov = run_once(sides[side][1], workload, seed, 0, timeout)
-                entry["runs"][side].append(record(result, seed))
+                entry["runs"][side].append(record(result, seed, load))
                 if prov and "blas_threads" not in doc["host"]:
                     doc["host"].update(blas_threads=prov["threads"],
                                        python=prov["python"], numpy=prov["numpy"],
