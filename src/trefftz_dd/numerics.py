@@ -124,8 +124,11 @@ class BlockFactorization:
                                     shape=(hi - lo, hi - lo)))
         del A, piece    # only the pieces stay alive while they are factorized
         futures = [_WORKER.submit(_factor, part) for part in parts[:-1]]
-        last = _factor(parts[-1])
-        self.pieces = [f.result() for f in futures] + [last]
+        try:
+            last = _factor(parts[-1])
+        finally:    # no piece is left factorizing once this returns or raises
+            first = [f.result() for f in futures]
+        self.pieces = first + [last]
         for lo, fact in zip(self.bounds, self.pieces):
             if isinstance(fact, NotPositiveDefinite):
                 index = fact.index + lo if fact.index >= 0 else -1

@@ -1,4 +1,7 @@
 """Linear algebra tests: factorization vs dense reference, GMRES behaviour."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, diags, random as sparse_random
@@ -135,6 +138,35 @@ def test_block_factorization_is_reproducible():
     b = rng.standard_normal((A.shape[0], 2))
     first, second = (BlockFactorization(A, block).solve(b) for _ in range(2))
     assert np.array_equal(first, second)
+
+
+def test_block_factorization_from_many_threads():
+    # callers on several threads share the one worker; each still gets the
+    # factors of its own matrix, bitwise as when called alone
+    rng = np.random.default_rng(31)
+    cases = [block_stack(rng, rng.integers(5, 40, size=6)) for _ in range(3)]
+    rhs = [rng.standard_normal(A.shape[0]) for A, _ in cases]
+    want = [BlockFactorization(A, block).solve(b) for (A, block), b in zip(cases, rhs)]
+    got = {}
+
+    def work(t):
+        k = t % len(cases)
+        for _ in range(5):
+            x = BlockFactorization(*cases[k]).solve(rhs[k])
+            got[t] = got.get(t, True) and np.array_equal(x, want[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {t: True for t in range(6)}
 
 
 def test_gmres_solves_spd_system():
