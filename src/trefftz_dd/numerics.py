@@ -11,7 +11,7 @@ stopping.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +75,15 @@ class Factorization:
         return self._lu.solve(b)
 
 
-def _factor(A):
-    """Factorization(A), or the NotPositiveDefinite it raised."""
+def _factor(A, lo):
+    """Factorization(A) of the piece whose first row is row lo of the whole
+    matrix, with a NotPositiveDefinite index shifted to the whole matrix's
+    numbering (−1 stays −1)."""
     try:
         return Factorization(A)
     except NotPositiveDefinite as exc:
-        return exc
+        index = exc.index + lo if exc.index >= 0 else -1
+        raise NotPositiveDefinite(int(index), str(exc)) from exc
 
 
 class BlockFactorization:
@@ -94,7 +97,8 @@ class BlockFactorization:
     Each piece is a plain Factorization, so its factors do not depend on
     the thread or the core count; iterating yields the pieces in row order.
     A NotPositiveDefinite index is in the whole matrix's numbering (−1
-    stays −1).  A stored entry that couples two pieces raises ValueError.
+    stays −1); when several pieces fail, the first of them is named.  A
+    stored entry that couples two pieces raises ValueError.
     """
 
     def __init__(self, A, block):
@@ -123,16 +127,14 @@ class BlockFactorization:
             parts.append(csc_matrix((A.data[sel], (A.row[sel] - lo, A.col[sel] - lo)),
                                     shape=(hi - lo, hi - lo)))
         del A, piece    # only the pieces stay alive while they are factorized
-        futures = [_WORKER.submit(_factor, part) for part in parts[:-1]]
+        futures = [_WORKER.submit(_factor, part, lo)
+                   for part, lo in zip(parts[:-1], self.bounds)]
         try:
-            last = _factor(parts[-1])
-        finally:    # no piece is left factorizing once this returns or raises
+            last = _factor(parts[-1], self.bounds[-2])
+        finally:    # no piece is left factorizing once this returns or raises,
+            wait(futures)   # and the first piece to fail names the error
             first = [f.result() for f in futures]
         self.pieces = first + [last]
-        for lo, fact in zip(self.bounds, self.pieces):
-            if isinstance(fact, NotPositiveDefinite):
-                index = fact.index + lo if fact.index >= 0 else -1
-                raise NotPositiveDefinite(int(index), str(fact)) from fact
 
     def __iter__(self):
         return iter(self.pieces)

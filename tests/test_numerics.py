@@ -114,6 +114,11 @@ def test_block_factorization_names_global_index():
     with pytest.raises(NotPositiveDefinite) as exc:
         BlockFactorization(bad.tocsr(), block)
     assert exc.value.index == 13 and "diagonal" in str(exc.value)
+    # with both pieces bad, the first one is named
+    bad[3, 3] = -1.0
+    with pytest.raises(NotPositiveDefinite) as exc:
+        BlockFactorization(bad.tocsr(), block)
+    assert exc.value.index == 3
     # a positive diagonal but an indefinite 2x2 minor: only a pivot shows it
     bad = A.tolil()
     big = 10.0 * A.diagonal().max()
