@@ -21,7 +21,6 @@ from test_mesh import connected_components
 from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
                                SingularLocalSystem)
 from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
-from trefftz_dd.numerics import PIECES
 from trefftz_dd.fem import assemble, exact_lshape, solve_fine
 from trefftz_dd.geometry import (
     CoarsePartition,
@@ -45,6 +44,7 @@ from trefftz_dd.coarse import (
     schur_split,
 )
 from trefftz_dd.mesh import build_dofmap, build_overlap, generate_structured, refine_toward
+from trefftz_dd.numerics import PIECES
 
 
 def lshape_setup(pitch=1.0 / 12.0, n=3, f=None, g=None):
