@@ -11,6 +11,7 @@ stopping.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -28,8 +29,18 @@ BREAKDOWN = 1e-300
 #: the host, so the factors and every output are the same on any core count.
 PIECES = 2
 
-#: factorizes every piece but the last while the calling thread does the last
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="trefftz-dd-factor")
+
+def _new_worker():
+    """The executor that factorizes every piece but the last while the
+    calling thread does the last.  Its thread starts at the first submit.
+    A forked child gets a new one: the parent's thread is not copied, and
+    a work item queued for it would wait forever."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="trefftz-dd-factor")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
 
 
 class Factorization:

@@ -1,4 +1,5 @@
 """Linear algebra tests: factorization vs dense reference, GMRES behaviour."""
+import multiprocessing
 import sys
 import threading
 
@@ -172,6 +173,30 @@ def test_block_factorization_from_many_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {t: True for t in range(6)}
+
+
+def _solve_in_child(A, block, b, queue):
+    queue.put(BlockFactorization(A, block).solve(b))
+
+
+def test_block_factorization_in_forked_child():
+    # the parent's worker thread exists before the fork; the child must get
+    # its own rather than queue work for a thread it does not have
+    rng = np.random.default_rng(17)
+    A, block = block_stack(rng, [8, 8, 8])
+    b = rng.standard_normal(A.shape[0])
+    want = BlockFactorization(A, block).solve(b)
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_solve_in_child, args=(A, block, b, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=30)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert np.array_equal(got, want)
 
 
 def test_gmres_solves_spd_system():
