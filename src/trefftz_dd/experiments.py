@@ -148,18 +148,8 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
 
     steps, floor = {q: [] for q in degrees}, []
     for n, h, refinements in plan:
-        part = CoarsePartition(domain.outer, n, n)
-        mesh, system, exact = _fine_problem(domain, part, h, grade)
-        mesh, skel, cache = _partition_setup(domain, part, mesh, system)
-        fe = error_norms(mesh, solve_fine(system), exact)
-        for r in refinements:
-            H = skel.H / 2 ** r
-            for q in degrees:
-                space = build_trefftz(mesh, system, refine_edges(skel, r), q,
-                                      cache)
-                u = coarse_approximation(system, space)
-                steps[q].append((H, space.dim) + error_norms(mesh, u, exact))
-            floor.append((H, system.dofmap.n_free) + fe)
+        _lshape_steps(domain, CoarsePartition(domain.outer, n, n), h, grade,
+                      refinements, steps, floor)
 
     floor_rows = _convergence_rows(floor)
     studies = {q: (_convergence_rows(steps[q]), floor_rows) for q in degrees}
@@ -169,6 +159,21 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
             write_csv(stem + ".csv", CONVERGENCE_COLUMNS, rows)
             write_csv(stem + "_floor.csv", CONVERGENCE_COLUMNS, floor_rows)
     return studies if isinstance(p, tuple) else studies[p]
+
+
+def _lshape_steps(domain, part, h, grade, refinements, steps, floor):
+    """Append one mesh's (H, dim, l2, h1) steps to steps[q] and floor.  Its
+    system, cell cache and spaces die on return, before the next mesh."""
+    mesh, system, exact = _fine_problem(domain, part, h, grade)
+    mesh, skel, cache = _partition_setup(domain, part, mesh, system)
+    fe = error_norms(mesh, solve_fine(system), exact)
+    for r in refinements:
+        H = skel.H / 2 ** r
+        for q in steps:
+            space = build_trefftz(mesh, system, refine_edges(skel, r), q, cache)
+            u = coarse_approximation(system, space)
+            steps[q].append((H, space.dim) + error_norms(mesh, u, exact))
+        floor.append((H, system.dofmap.n_free) + fe)
 
 
 def generate_urban_synthetic(seed, extent=640.0, pitch=2.5, n_buildings=24,
@@ -352,9 +357,9 @@ def run_solver_study(config):
                                           refine_edges(skel, r), p, cache)
                 else:
                     space = nicolaides
-                ctx = replace(local, coarse=space)
                 for method in config.method:
-                    report, err = _run_method(method, ctx, monitor, config.tol,
+                    report, err = _run_method(method, replace(local, coarse=space),
+                                              monitor, config.tol,
                                               config.max_iters)
                     reports[(method, rule, p, r)] = report
                     summary.append((method, n_cells, rule, config.space, p, r,
@@ -367,10 +372,37 @@ def run_solver_study(config):
                             method, n_cells, rule, p, r)
                         write_csv(os.path.join(config.outdir, name),
                                   REPORT_COLUMNS, report.rows)
+        del ov, local           # freed before the next rule's factor is built
     if config.outdir is not None:
         write_csv(os.path.join(config.outdir, "study_summary.csv"),
                   STUDY_COLUMNS, summary)
     return reports
+
+
+def _scalability_rows(walls, domain, N, mesh, system, monitor, pitch, tol,
+                      max_iters):
+    """The rows of the N-cell partition of one geometry.  Its cell cache,
+    spaces and factors die on return, before the next N's are built."""
+    part = CoarsePartition(domain.outer, math.isqrt(N), math.isqrt(N))
+    mesh, skel, cache = _partition_setup(domain, part, mesh, system)
+    trefftz = build_trefftz(mesh, system, skel, 1, cache)
+    outcomes, rows = {}, []      # overlap layers -> one row tail per space
+    for rule in ("min", "h20"):
+        layers = overlap_layers(part, pitch, rule)
+        if layers not in outcomes:
+            ov = build_overlap(mesh, system.dofmap, layers, n_cells=N)
+            local = build_schwarz(system, ov)
+            outcomes[layers] = []
+            for space in (trefftz, build_nicolaides(mesh, system, ov)):
+                report, err = _run_method("gmres", replace(local, coarse=space),
+                                          monitor, tol, max_iters)
+                outcomes[layers].append((
+                    space.kind, report.iterations if report else -1,
+                    report.converged if report else False,
+                    space.dim, relative_dim(space, part), err))
+            del ov, local       # freed before the next rule's factor is built
+        rows += [(walls, N, rule) + tail for tail in outcomes[layers]]
+    return rows
 
 
 def run_scalability(seed=1, outdir=None, n_values=N_VALUES,
@@ -400,26 +432,8 @@ def run_scalability(seed=1, outdir=None, n_values=N_VALUES,
             domain, CoarsePartition(domain.outer, 1, 1), pitch)
         monitor = ErrorMonitor(mesh, system, None)
         for N in n_values:
-            n = math.isqrt(N)
-            part = CoarsePartition(domain.outer, n, n)
-            mesh, skel, cache = _partition_setup(domain, part, mesh, system)
-            trefftz = build_trefftz(mesh, system, skel, 1, cache)
-            outcomes = {}        # overlap layers -> one row tail per space
-            for rule in ("min", "h20"):
-                layers = overlap_layers(part, pitch, rule)
-                if layers not in outcomes:
-                    ov = build_overlap(mesh, system.dofmap, layers, n_cells=N)
-                    local = build_schwarz(system, ov)
-                    outcomes[layers] = []
-                    for space in (trefftz, build_nicolaides(mesh, system, ov)):
-                        ctx = replace(local, coarse=space)
-                        report, err = _run_method("gmres", ctx, monitor, tol,
-                                                  max_iters)
-                        outcomes[layers].append((
-                            space.kind, report.iterations if report else -1,
-                            report.converged if report else False,
-                            space.dim, relative_dim(space, part), err))
-                rows += [(walls, N, rule) + tail for tail in outcomes[layers]]
+            rows += _scalability_rows(walls, domain, N, mesh, system, monitor,
+                                      pitch, tol, max_iters)
     if outdir is not None:
         write_csv(os.path.join(outdir, "scalability.csv"),
                   SCALABILITY_COLUMNS, rows)

@@ -14,7 +14,7 @@ discretization error measured here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -112,13 +112,6 @@ class AssembledSystem:
     dirichlet_values: np.ndarray
     A_full: csr_matrix         # all nodes x all nodes
     load_full: np.ndarray
-    _fact: Factorization | None = field(default=None, repr=False)
-
-    @property
-    def factorization(self):
-        if self._fact is None:
-            self._fact = Factorization(self.A)
-        return self._fact
 
     def expand(self, u_free):
         """Scatter free values and Dirichlet data into a full nodal vector."""
@@ -143,8 +136,8 @@ def assemble(mesh, f=None, g=None, dofmap=None):
     load_full = lumped_load(mesh, f)
 
     fr, dr = dofmap.free_nodes, dofmap.dirichlet_nodes
-    A = A_full[fr][:, fr].tocsr()
-    A_fd = A_full[fr][:, dr].tocsr()
+    A_free = A_full[fr]
+    A, A_fd = A_free[:, fr].tocsr(), A_free[:, dr].tocsr()
     if g is None:
         g_vals = np.zeros(len(dr))
     else:
@@ -154,8 +147,9 @@ def assemble(mesh, f=None, g=None, dofmap=None):
 
 
 def solve_fine(system):
-    """Direct solve of the assembled system; returns the full nodal vector."""
-    return system.expand(system.factorization.solve(system.f))
+    """Direct solve of the assembled system, whose factor dies on return;
+    returns the full nodal vector."""
+    return system.expand(Factorization(system.A).solve(system.f))
 
 
 class NestedReference(NamedTuple):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,9 @@ class Factorization:
     pivoting restricted to the diagonal, so the factorization doubles as an
     SPD certificate: any nonpositive pivot raises NotPositiveDefinite with
     the offending (unpermuted) index.  Symmetry is the caller's to ensure;
-    it is not checked.
+    it is not checked.  Reading the pivots through SuperLU's `U` makes
+    scipy build CSC copies of L and U, which stay cached on the factor for
+    its whole life; `fill`, the L + U entry count, is read off them.
     """
 
     def __init__(self, A):
@@ -58,7 +61,7 @@ class Factorization:
             raise DimMismatch("cannot factorize a %s matrix" % (A.shape,))
         self.n = A.shape[0]
         if self.n == 0:
-            self._lu = None
+            self._lu, self.fill = None, 0
             return
         A = csc_matrix(A)
         d = A.diagonal()
@@ -71,6 +74,7 @@ class Factorization:
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NotPositiveDefinite(-1, str(exc)) from exc
         pivots = self._lu.U.diagonal()
+        self.fill = self._lu.L.nnz + self._lu.U.nnz
         bad = np.flatnonzero(pivots <= 0)
         if len(bad):  # Pr A Pc = LU puts column i of A at position perm_c[i]
             raise NotPositiveDefinite(int(np.flatnonzero(self._lu.perm_c == bad[0])[0]),
@@ -109,7 +113,8 @@ class BlockFactorization:
     the thread or the core count; iterating yields the pieces in row order.
     A NotPositiveDefinite index is in the whole matrix's numbering (−1
     stays −1); when several pieces fail, the first of them is named.  A
-    stored entry that couples two pieces raises ValueError.
+    stored entry that couples two pieces raises ValueError.  `fill` sums
+    the pieces' fill.
     """
 
     def __init__(self, A, block):
@@ -146,6 +151,17 @@ class BlockFactorization:
             wait(futures)   # and the first piece to fail names the error
             first = [f.result() for f in futures]
         self.pieces = first + [last]
+        self.fill = sum(fact.fill for fact in self.pieces)
+
+    def __del__(self):
+        """Let the worker's pieces go on the worker.  scipy's SuperLU frees
+        a block only on the thread that allocated it and silently keeps it
+        anywhere else, so a piece that died here would leak its factor."""
+        worker_pieces = getattr(self, "pieces", [])[:-1]   # none if __init__ raised
+        if worker_pieces:
+            del self.pieces[:-1]    # the worker's list holds the last references
+            with suppress(RuntimeError):    # no new work at interpreter exit
+                _WORKER.submit(worker_pieces.clear)
 
     def __iter__(self):
         return iter(self.pieces)

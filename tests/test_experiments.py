@@ -1,9 +1,12 @@
 """Experiment driver tests on shrunk-down configurations."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from trefftz_dd import coarse, experiments, fem, schwarz
+from trefftz_dd import coarse, experiments, fem, numerics, schwarz
 from trefftz_dd.coarse import build_cell_cache, build_trefftz, coarse_approximation
 from trefftz_dd.errors import PlacementFailure
 from trefftz_dd.experiments import (
@@ -120,6 +123,37 @@ def _count_calls(monkeypatch, *targets):
     return calls
 
 
+def _alive_at_calls(monkeypatch, built_in, name):
+    """Track the BlockFactorizations that the modules `built_in` build, and
+    wrap experiments.<name>.  Returns (weak references to the tracked
+    factors, the number of them alive after a collection at each call)."""
+    made, alive = [], []
+
+    class Tracked(numerics.BlockFactorization):
+        def __init__(self, A, block):
+            super().__init__(A, block)
+            made.append(weakref.ref(self))
+
+    for module in built_in:
+        monkeypatch.setattr(module, "BlockFactorization", Tracked)
+
+    def counted(*args, orig=getattr(experiments, name), **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return made, alive
+
+
+def test_lshape_mesh_study_frees_each_mesh(monkeypatch):
+    # no cell cache of the first mesh is alive when the second's is built
+    made, alive = _alive_at_calls(monkeypatch, (coarse,), "build_cell_cache")
+    run_lshape_convergence(strategy="mesh", p=(1, 2), levels=2, grade=1,
+                           divisions=12)
+    assert len(made) == 2 and alive == [0, 0]
+
+
 def test_lshape_mesh_study_one_cache_per_mesh(monkeypatch):
     kwargs = dict(strategy="mesh", levels=2, grade=1, divisions=12)
     single = {p: run_lshape_convergence(p=p, **kwargs) for p in (1, 2)}
@@ -204,6 +238,15 @@ def test_nicolaides_study_builds_once_per_overlap(tmp_path, monkeypatch):
     assert len((tmp_path / "study_summary.csv").read_text().splitlines()) == 9
 
 
+def test_solver_study_frees_each_overlap_factor(monkeypatch):
+    # the min overlap's stacked factor is gone when the h20 one is built
+    made, alive = _alive_at_calls(monkeypatch, (schwarz,), "build_schwarz")
+    run_solver_study(ExperimentConfig(
+        geometry="lshape", nx=3, ny=3, pitch=1.0 / 24.0, overlap=("min", "h20"),
+        method=("gmres",), tol=1e-6, reference_levels=0))
+    assert len(made) == 2 and alive == [0, 0]
+
+
 def test_urban_study_assembles_the_reference_once(monkeypatch):
     # the monitor's nested reference reuses the reference system's A_full
     calls = _count_calls(monkeypatch, (fem, "stiffness_matrix"))
@@ -274,6 +317,17 @@ def test_scalability_builds_each_fine_problem_once(monkeypatch):
         for m, h in zip(rows[k:k + 2], rows[k + 2:k + 4]):
             assert (m[2], h[2]) == ("min", "h20")
             assert m[:2] + m[3:] == h[:2] + h[3:]
+
+
+def test_scalability_frees_each_partition(monkeypatch):
+    # no N = 4 factor, cell cache or Schwarz, is alive when N = 16's cell
+    # cache is built, nor any of the first geometry's in the second's sweep
+    made, alive = _alive_at_calls(monkeypatch, (coarse, schwarz),
+                                  "build_cell_cache")
+    rows = run_scalability(seed=2, n_values=(4, 16), extent=80.0, pitch=2.5,
+                           n_buildings=4, n_walls=2, tol=1e-6)
+    assert len(rows) == 16
+    assert len(made) == 8 and alive == [0, 0, 0, 0]
 
 
 def test_scalability_rejects_partition_off_the_pitch_grid(monkeypatch):

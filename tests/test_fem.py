@@ -9,7 +9,9 @@ The polar formula of the benchmark solution and the einsum quadrature loop
 are kept as references for the one-angle `exact_lshape` and for
 `error_norms`.
 """
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, strategies as st
 from scipy.sparse import coo_matrix
 
 from test_acceptance import _small_instance
+from trefftz_dd import fem
 from trefftz_dd.errors import DegenerateTriangle, MeshNotNested
 from trefftz_dd.fem import (
     QUAD_POINTS,
@@ -34,6 +37,8 @@ from trefftz_dd.fem import (
 from trefftz_dd.geometry import CoarsePartition, PerforatedDomain, Rect
 from trefftz_dd.mesh import (DIRICHLET, Triangulation, build_dofmap, gathered_areas,
                              generate_structured, red_refine, refine_toward)
+from trefftz_dd.numerics import Factorization
+from trefftz_dd.schwarz import ErrorMonitor
 
 EPS = np.finfo(float).eps
 
@@ -147,6 +152,26 @@ def test_solve_fine_matches_dense_solve_on_urban(seed):
     u = system.restrict(solve_fine(system))
     want = np.linalg.solve(system.A.toarray(), system.f)
     assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fine_solves_keep_no_factor(monkeypatch):
+    made = []
+
+    class Tracked(Factorization):
+        def __init__(self, A):
+            super().__init__(A)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fem, "Factorization", Tracked)
+    mesh = lshape_mesh(1.0 / 6.0)
+    system = assemble(mesh, f=1.0, g=lambda pts: pts[:, 0])
+    u = solve_fine(system)
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    monitor = ErrorMonitor(mesh, system)    # the monitor's own fine solve
+    gc.collect()
+    assert len(made) == 2 and made[1]() is None
+    assert monitor.u_fine.tobytes() == u.tobytes()
 
 
 def test_patch_test_linear_exactness():

@@ -1,4 +1,5 @@
 """Linear algebra tests: factorization vs dense reference, GMRES behaviour."""
+import gc
 import multiprocessing
 import sys
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, diags, random as sparse_random
 
+from trefftz_dd import numerics
 from trefftz_dd.errors import DimMismatch, NotPositiveDefinite
 from trefftz_dd.numerics import (PIECES, BlockFactorization, Factorization,
                                   GmresOptions, gmres)
@@ -78,6 +80,18 @@ def test_block_factorization_matches_dense_solve():
             assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     with pytest.raises(DimMismatch):
         fact.solve(np.ones(A.shape[0] + 1))
+
+
+def test_fill_counts_the_entries_of_l_and_u():
+    rng = np.random.default_rng(11)
+    A, block = block_stack(rng, [7, 3, 12, 5, 9])
+    facts = BlockFactorization(A, block)
+    fills = [f._lu.L.nnz + f._lu.U.nnz for f in facts]
+    assert len(fills) == PIECES and min(fills) > 0
+    assert [f.fill for f in facts] == fills
+    assert facts.fill == sum(fills)
+    assert Factorization(csr_matrix((0, 0))).fill == 0
+    assert BlockFactorization(csr_matrix((0, 0)), np.zeros(0, dtype=int)).fill == 0
 
 
 def test_block_factorization_cuts_on_label_boundaries():
@@ -173,6 +187,29 @@ def test_block_factorization_from_many_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {t: True for t in range(6)}
+
+
+def test_block_factorization_frees_each_piece_on_its_own_thread(monkeypatch):
+    # scipy's SuperLU frees a block only on the thread that allocated it,
+    # so a worker piece that died on the calling thread would leak
+    same_thread = []
+
+    class Tracked(Factorization):
+        def __init__(self, A):
+            super().__init__(A)
+            self.built_on = threading.get_ident()
+
+        def __del__(self):
+            same_thread.append(self.built_on == threading.get_ident())
+
+    monkeypatch.setattr(numerics, "Factorization", Tracked)
+    A, block = block_stack(np.random.default_rng(5), [6, 9, 4, 7])
+    facts = BlockFactorization(A, block)
+    assert len(facts.pieces) == PIECES
+    del facts
+    gc.collect()
+    numerics._WORKER.submit(lambda: None).result()   # after the worker's release
+    assert same_thread == [True] * PIECES
 
 
 def _solve_in_child(A, block, b, queue):
