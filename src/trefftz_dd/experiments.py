@@ -386,6 +386,7 @@ def _scalability_rows(walls, domain, N, mesh, system, monitor, pitch, tol,
     part = CoarsePartition(domain.outer, math.isqrt(N), math.isqrt(N))
     mesh, skel, cache = _partition_setup(domain, part, mesh, system)
     trefftz = build_trefftz(mesh, system, skel, 1, cache)
+    del cache                    # its last solve built the basis
     outcomes, rows = {}, []      # overlap layers -> one row tail per space
     for rule in ("min", "h20"):
         layers = overlap_layers(part, pitch, rule)

@@ -11,10 +11,13 @@ stopping.
 """
 from __future__ import annotations
 
+import atexit
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import suppress
+import sys
+import threading
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -32,12 +35,51 @@ PIECES = 2
 
 
 def _new_worker():
-    """The executor that factorizes every piece but the last while the
-    calling thread does the last.  Its thread starts at the first submit.
-    A forked child gets a new one: the parent's thread is not copied, and
-    a work item queued for it would wait forever."""
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="trefftz-dd-factor")
+    """The worker thread's task queue; the thread starts at the first task.
+    A forked child gets a new queue and thread: the parent's thread is not
+    copied, and a task queued for it would wait forever."""
+    global _TASKS, _THREAD, _START
+    _TASKS, _THREAD, _START = SimpleQueue(), None, threading.Lock()
+
+
+def _serve(tasks):
+    """The worker's loop: run each task, a callable, until None comes."""
+    while (task := tasks.get()) is not None:
+        task()
+        del task    # what the task held is dropped on this thread
+
+
+def _on_worker(fn, *args):
+    """A Future of fn(*args), run on the worker thread, which factorizes
+    every piece but the last while the calling thread does the last."""
+    global _THREAD
+    future = Future()
+
+    def task():
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:    # raised again by future.result()
+            future.set_exception(exc)
+
+    with _START:
+        if _THREAD is None:
+            _THREAD = threading.Thread(target=_serve, args=(_TASKS,), daemon=True,
+                                       name="trefftz-dd-factor")
+            _THREAD.start()
+    _TASKS.put(task)
+    return future
+
+
+@atexit.register
+def _stop_worker():
+    """End the worker before the interpreter finalizes, as an executor's
+    thread is joined at exit."""
+    global _THREAD
+    with _START:
+        if _THREAD is not None:
+            _TASKS.put(None)
+            _THREAD.join()
+            _THREAD = None
 
 
 _new_worker()
@@ -143,7 +185,7 @@ class BlockFactorization:
             parts.append(csc_matrix((A.data[sel], (A.row[sel] - lo, A.col[sel] - lo)),
                                     shape=(hi - lo, hi - lo)))
         del A, piece    # only the pieces stay alive while they are factorized
-        futures = [_WORKER.submit(_factor, part, lo)
+        futures = [_on_worker(_factor, part, lo)
                    for part, lo in zip(parts[:-1], self.bounds)]
         try:
             last = _factor(parts[-1], self.bounds[-2])
@@ -156,12 +198,14 @@ class BlockFactorization:
     def __del__(self):
         """Let the worker's pieces go on the worker.  scipy's SuperLU frees
         a block only on the thread that allocated it and silently keeps it
-        anywhere else, so a piece that died here would leak its factor."""
+        anywhere else, so a piece that died here would leak its factor.
+        The release takes no lock (a SimpleQueue put), since the cyclic
+        garbage collector may run this while the thread holds one.  At
+        interpreter exit the pieces are left, so the worker stays asleep."""
         worker_pieces = getattr(self, "pieces", [])[:-1]   # none if __init__ raised
-        if worker_pieces:
+        if worker_pieces and not sys.is_finalizing():
             del self.pieces[:-1]    # the worker's list holds the last references
-            with suppress(RuntimeError):    # no new work at interpreter exit
-                _WORKER.submit(worker_pieces.clear)
+            _TASKS.put(worker_pieces.clear)
 
     def __iter__(self):
         return iter(self.pieces)

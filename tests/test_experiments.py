@@ -330,6 +330,15 @@ def test_scalability_frees_each_partition(monkeypatch):
     assert len(made) == 8 and alive == [0, 0, 0, 0]
 
 
+def test_scalability_frees_the_cell_cache_after_the_basis(monkeypatch):
+    # the cell cache's last solve builds the Trefftz basis, so it is gone
+    # before any Schwarz factor is built
+    made, alive = _alive_at_calls(monkeypatch, (coarse,), "build_schwarz")
+    run_scalability(seed=2, n_values=(4, 16), extent=80.0, pitch=2.5,
+                    n_buildings=4, n_walls=2, tol=1e-6)
+    assert len(made) == 4 and alive == [0, 0, 0, 0]
+
+
 def test_scalability_rejects_partition_off_the_pitch_grid(monkeypatch):
     # 80 m is 32 pitches of 2.5 m, which 3 cells per side do not divide;
     # the sweep is rejected before any geometry is built

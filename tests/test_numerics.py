@@ -3,6 +3,7 @@ import gc
 import multiprocessing
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -208,8 +209,31 @@ def test_block_factorization_frees_each_piece_on_its_own_thread(monkeypatch):
     assert len(facts.pieces) == PIECES
     del facts
     gc.collect()
-    numerics._WORKER.submit(lambda: None).result()   # after the worker's release
+    numerics._on_worker(lambda: None).result()   # after the worker's release
     assert same_thread == [True] * PIECES
+
+
+def test_block_factorization_release_takes_no_lock(monkeypatch):
+    # the cyclic garbage collector can free a factor at any allocation, here
+    # while a worker task is being queued; the release must not wait for a
+    # lock that the same thread holds
+    A, block = block_stack(np.random.default_rng(9), [5, 6, 7])
+    cycle = [BlockFactorization(A, block)]
+    cycle.append(cycle)
+    del cycle
+    init = Future.__init__
+
+    def collecting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        gc.collect()
+
+    monkeypatch.setattr(Future, "__init__", collecting)
+    done = []
+    caller = threading.Thread(target=lambda: done.append(BlockFactorization(A, block)),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive() and len(done) == 1
 
 
 def _solve_in_child(A, block, b, queue):
