@@ -200,8 +200,8 @@ class BlockFactorization:
         a block only on the thread that allocated it and silently keeps it
         anywhere else, so a piece that died here would leak its factor.
         The release takes no lock (a SimpleQueue put), since the cyclic
-        garbage collector may run this while the thread holds one.  At
-        interpreter exit the pieces are left, so the worker stays asleep."""
+        garbage collector may run this while the thread holds one.  While
+        the interpreter finalizes the pieces are left: the worker has stopped."""
         worker_pieces = getattr(self, "pieces", [])[:-1]   # none if __init__ raised
         if worker_pieces and not sys.is_finalizing():
             del self.pieces[:-1]    # the worker's list holds the last references

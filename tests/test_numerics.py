@@ -1,6 +1,8 @@
 """Linear algebra tests: factorization vs dense reference, GMRES behaviour."""
 import gc
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import Future
@@ -234,6 +236,18 @@ def test_block_factorization_release_takes_no_lock(monkeypatch):
     caller.start()
     caller.join(timeout=30)
     assert not caller.is_alive() and len(done) == 1
+
+
+def test_exit_with_a_live_block_factorization():
+    # the worker thread is stopped before the interpreter finalizes, so a
+    # factor still alive at exit lets the process end cleanly
+    code = ("import numpy as np; from scipy.sparse import identity; "
+            "from trefftz_dd.numerics import BlockFactorization; "
+            "KEEP = BlockFactorization(identity(6, format='csr'), np.repeat([0, 1], 3)); "
+            "print(len(KEEP.pieces))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (run.returncode, run.stdout, run.stderr) == (0, "2\n", "")
 
 
 def _solve_in_child(A, block, b, queue):
