@@ -19,8 +19,6 @@ each overlapping subdomain) is provided as the classical baseline.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,59 +40,60 @@ from .numerics import BlockFactorization, Factorization
 # ---------------------------------------------------------------------------
 # Locating the skeleton inside the fine mesh
 
-class _AxisBuckets:
-    """Mesh nodes grouped by snapped x (sorted by y) and by snapped y."""
-
-    def __init__(self, points):
-        self.by_x = self._group(points, 0)
-        self.by_y = self._group(points, 1)
-
-    @staticmethod
-    def _group(points, axis):
-        """{snap(coordinate): (other coordinates ascending, node ids)}; ties
-        in the other coordinate keep ascending node id.  Distinct raw values
-        that snap alike share one bucket."""
-        values, inverse = np.unique(points[:, axis], return_inverse=True)
-        keys, key_of_value = np.unique([snap(v) for v in values], return_inverse=True)
-        key = key_of_value[inverse.ravel()]
-        other = points[:, 1 - axis]
-        ids = np.lexsort((other, key))
-        chunks = np.split(ids, np.flatnonzero(np.diff(key[ids])) + 1)
-        return {k: (other[chunk], chunk) for k, chunk in zip(keys.tolist(), chunks)}
-
-    def on_segment(self, pa, pb):
-        """Node ids on the closed axis-aligned segment pa-pb, ordered pa -> pb."""
-        (xa, ya), (xb, yb) = pa, pb
-        if snap(xa) == snap(xb):
-            coords, ids = self.by_x.get(snap(xa), (np.empty(0), np.empty(0, dtype=int)))
-            lo, hi = sorted((ya, yb))
-        else:
-            coords, ids = self.by_y.get(snap(ya), (np.empty(0), np.empty(0, dtype=int)))
-            lo, hi = sorted((xa, xb))
-        tol = 1e-9 * max(hi - lo, 1e-12)
-        a = bisect_left(coords, lo - tol)
-        b = bisect_right(coords, hi + tol)
-        sel_coords, sel = coords[a:b], ids[a:b]
-        start = ya if snap(xa) == snap(xb) else xa
-        end = yb if snap(xa) == snap(xb) else xb
-        t = (sel_coords - start) / (end - start)
-        order = np.argsort(t, kind="stable")
-        return sel[order], t[order]
+def _snapped(values):
+    """snap of every value, called once per distinct value (np.round(x, 12)
+    differs from Python's round)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([snap(v) for v in distinct.tolist()])[inverse].reshape(np.shape(values))
 
 
-def _edge_node_lists(skeleton, buckets):
-    """Per-edge (fine node ids, parameters), from endpoint a at t = 0 to
-    endpoint b at t = 1.  Every coarse node is an edge endpoint, so an
-    edge whose ends are not fine nodes locates a coarse node off the mesh."""
-    edge_nodes = []
-    for e in skeleton.edges:
-        pa, pb = skeleton.edge_points(e)
-        ids, t = buckets.on_segment(pa, pb)
-        if len(ids) < 2 or abs(t[0]) > 1e-9 or abs(t[-1] - 1.0) > 1e-9:
-            off = int(len(ids) > 0 and abs(t[0]) <= 1e-9)   # the end that misses
-            raise NodeOffSkeleton(e.endpoints[off], (pa, pb)[off])
-        edge_nodes.append((ids, t))
-    return edge_nodes
+def _axis_sort(points):
+    """Per axis, the records snap(coordinate) + 1j * other coordinate of the
+    mesh nodes, sorted with ties by node id, and their ids, axis after axis.
+    numpy orders complex numbers by real, then imaginary part, so a span of
+    a line (values that snap alike share one) is one searchsorted away."""
+    keys = _snapped(points)
+    ids = [np.lexsort((points[:, 1 - axis], keys[:, axis])) for axis in (0, 1)]
+    return (np.concatenate([keys[i, axis] + 1j * points[i, 1 - axis]
+                            for axis, i in enumerate(ids)]), np.concatenate(ids))
+
+
+def _edge_nodes(skeleton, axis_sort):
+    """The fine nodes on the skeleton edges as flat arrays (edge, node id, t),
+    edge after edge, each from endpoint a (t = 0) to b (t = 1), ties in t by
+    node id: those of the edge's axis line in its closed span, widened by
+    1e-9 of its length.  Every coarse node is an edge endpoint, so an edge
+    whose ends are not both fine nodes has a coarse node off the mesh:
+    NodeOffSkeleton names the end that misses of the first such edge."""
+    records, node_ids = axis_sort
+    ends = np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2)
+    xy = np.array([node.position for node in skeleton.nodes], dtype=float).reshape(-1, 2)
+    (a, b), (snap_a, snap_b) = xy[ends.T], _snapped(xy)[ends.T]
+    vertical = snap_a[:, 0] == snap_b[:, 0]
+    key = np.where(vertical, snap_a[:, 0], snap_a[:, 1])
+    start, end = np.where(vertical, a[:, 1], a[:, 0]), np.where(vertical, b[:, 1], b[:, 0])
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    tol = 1e-9 * np.maximum(hi - lo, 1e-12)
+    first, stop = np.empty((2, len(ends)), dtype=np.int64)
+    n = len(records) // 2
+    for axis, on in enumerate((vertical, ~vertical)):
+        line = records[axis * n:(axis + 1) * n]
+        first[on] = axis * n + np.searchsorted(line, key[on] + 1j * (lo - tol)[on], "left")
+        stop[on] = axis * n + np.searchsorted(line, key[on] + 1j * (hi + tol)[on], "right")
+    count = stop - first
+    begin = np.cumsum(count) - count    # each edge's first flat position
+    edge = np.repeat(np.arange(len(ends)), count)
+    at = np.arange(count.sum()) + np.repeat(first - begin, count)
+    t = (records.imag[at] - start[edge]) / (end[edge] - start[edge])
+    order = np.lexsort((t, edge))   # stable: ties in t keep ascending node id
+    t, ids = t[order], node_ids[at[order]]
+    t_ends = np.append(t, np.nan)[[begin, begin + count - 1]] - [[0.0], [1.0]]
+    hit_a, hit_b = (np.abs(t_ends) <= 1e-9) & (count > [[0], [1]])
+    off = np.flatnonzero(~(hit_a & hit_b))
+    if len(off):
+        node = int(ends[off[0], int(hit_a[off[0]])])   # the end that misses
+        raise NodeOffSkeleton(node, skeleton.nodes[node].position)
+    return edge, ids, t
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +120,13 @@ class CellCache:
     interior_cell: np.ndarray       # the cell of each interior node (ascending)
     A_it: csr_matrix                # A_IΓ: interior x skeleton_fine coupling
     fact: BlockFactorization        # of A_II, interior x interior
-    buckets: _AxisBuckets = field(repr=False, default=None)
+    axis_sort: tuple = field(repr=False)    # _axis_sort(mesh.points)
 
 
 def build_cell_cache(mesh, system, skeleton):
-    buckets = _AxisBuckets(mesh.points)
+    axis_sort = _axis_sort(mesh.points)
     on_skel = np.zeros(mesh.n_points, dtype=bool)
-    for e in skeleton.edges:
-        ids, _ = buckets.on_segment(*skeleton.edge_points(e))
-        on_skel[ids] = True
+    on_skel[_edge_nodes(skeleton, axis_sort)[1]] = True
     skeleton_fine = np.flatnonzero(on_skel)
     slot = np.full(mesh.n_points, -1, dtype=np.int64)
     slot[skeleton_fine] = np.arange(len(skeleton_fine))
@@ -158,7 +155,7 @@ def build_cell_cache(mesh, system, skeleton):
             k = floating[0] if len(floating) else -1
         raise SingularLocalSystem(int(interior_cell[k]), "interior operator is "
                                   "singular (node %d)" % interior[k]) from exc
-    return CellCache(skeleton_fine, slot, interior, interior_cell, A_it, fact, buckets)
+    return CellCache(skeleton_fine, slot, interior, interior_cell, A_it, fact, axis_sort)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ class TraceBasis:
     table: csr_matrix = field(repr=False)   # every row, free or not
     table_labels: list = field(repr=False)
     table_support: list = field(repr=False)
-    edge_nodes: list = field(repr=False)    # _edge_node_lists output
+    edge_nodes: tuple = field(repr=False)   # (edge, node id, t): _edge_nodes
 
     @property
     def dim(self):
@@ -194,50 +191,42 @@ def build_trace_basis(mesh, skeleton, p, cache):
     (Perforations can squeeze a skeleton edge down to a single mesh pitch;
     such an edge keeps its endpoint hats but cannot carry a bubble.)  The
     basis traces are those of free nodes and non-Dirichlet edges, so they
-    vanish on the Dirichlet part of the skeleton by construction."""
+    vanish on the Dirichlet part of the skeleton by construction.  On each
+    edge, endpoint a's hat is 1 - t and b's 1 - (1 - t); a coarse node's own
+    value, which can differ by an ulp between its edges, is its last edge's."""
     if p not in (1, 2):
         raise ValueError("trace degree must be 1 or 2, got %r" % (p,))
-    edge_nodes = _edge_node_lists(skeleton, cache.buckets)
-    slot = cache.slot_of_node
-
-    incident = defaultdict(list)
-    for k, e in enumerate(skeleton.edges):
-        incident[e.endpoints[0]].append(k)
-        incident[e.endpoints[1]].append(k)
-
-    rows_i, rows_j, rows_v = [], [], []
-    labels, support, free = [], [], []
-
-    def emit(label, is_free, cols, vals, cells):
-        rows_i.extend([len(labels)] * len(cols))
-        rows_j.extend(cols)
-        rows_v.extend(vals)
-        support.append(np.unique(np.asarray(cells, dtype=int)))
-        labels.append(label)
-        free.append(is_free)
-
-    for i, node in enumerate(skeleton.nodes):
-        entries, cells = {}, []
-        for k in incident[i]:
-            e = skeleton.edges[k]
-            ids, t = edge_nodes[k]
-            tt = t if e.endpoints[0] == i else 1.0 - t
-            entries.update(zip(slot[ids].tolist(), (1.0 - tt).tolist()))
-            cells.extend(e.cells)
-        emit(("node", i), not node.constrained, list(entries.keys()),
-             list(entries.values()), cells)
-
+    edge, ids, t = edge_nodes = _edge_nodes(skeleton, cache.axis_sort)
+    n_nodes = len(skeleton.nodes)
+    # per edge, the row each part fills: the hats of a and b, then a bubble
+    row_of = list(np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2).T)
+    values = [1.0 - t, 1.0 - (1.0 - t)]
+    labels = [("node", i) for i in range(n_nodes)]
+    free = [not node.constrained for node in skeleton.nodes]
     if p == 2:
-        for k, e in enumerate(skeleton.edges):
-            ids, t = edge_nodes[k]
-            vals = 4.0 * t * (1.0 - t)
-            if not np.any(vals > 0.0):
-                continue
-            emit(("edge", k), not e.on_dirichlet, slot[ids].tolist(), vals.tolist(),
-                 list(e.cells))
+        values.append(4.0 * t * (1.0 - t))
+        carries = np.bincount(edge[values[2] > 0.0], minlength=len(skeleton.edges)) > 0
+        row_of.append(np.where(carries, n_nodes + np.cumsum(carries) - 1, -1))
+        labels += [("edge", k) for k in np.flatnonzero(carries).tolist()]
+        free += [not skeleton.edges[k].on_dirichlet for _, k in labels[n_nodes:]]
+    n_rows, n_cols = len(labels), len(cache.skeleton_fine)
 
-    table = coo_matrix((rows_v, (rows_i, rows_j)),
-                       shape=(len(labels), len(cache.skeleton_fine))).tocsr()
+    # keep the last entry of each (row, column) in edge order; the keys
+    # row * n_cols + column put the kept entries in CSR order
+    rows = np.concatenate([r[edge] for r in row_of])
+    cols = np.tile(cache.slot_of_node[ids], len(row_of))
+    keys = np.where(rows >= 0, rows * n_cols + cols, -1)
+    order = np.lexsort((np.tile(edge, len(row_of)), keys))
+    order = order[(np.diff(keys[order], append=-1) != 0) & (keys[order] >= 0)]
+    table = csr_matrix((np.concatenate(values)[order], cols[order], np.concatenate(
+        [[0], np.cumsum(np.bincount(rows[order], minlength=n_rows))])), shape=(n_rows, n_cols))
+
+    # each row's support: the sorted cells of the edges it has parts on
+    cell_edge, cell = np.array([(k, c) for k, e in enumerate(skeleton.edges)
+                                for c in e.cells], dtype=np.int64).reshape(-1, 2).T
+    rows, m = np.concatenate([r[cell_edge] for r in row_of]), cell.max(initial=0) + 1
+    pairs = np.unique((rows * m + np.tile(cell, len(row_of)))[rows >= 0])
+    support = np.split(pairs % m, np.cumsum(np.bincount(pairs // m, minlength=n_rows))[:-1])
     free = np.flatnonzero(free)
     return TraceBasis(p, table[free], [labels[j] for j in free],
                       [support[j] for j in free], table, labels, support, edge_nodes)
@@ -310,19 +299,23 @@ def _lift_coefficients(skeleton, basis, g):
     """Coefficients on the trace table of the coarse interpolant of the
     nodal Dirichlet data g, and the sorted cells of the rows they weight.
     A constrained coarse node's hat weighs g at the node (read at the end
-    of an incident edge's fine node list); for p = 2, a Dirichlet edge's
-    bubble weighs the mismatch of g and the hats at the edge midpoint."""
+    of an incident edge's fine nodes); for p = 2, a Dirichlet edge's bubble
+    weighs the mismatch of g and the hats at the edge midpoint, with g
+    interpolated in t as np.interp does."""
+    edge, ids, t = basis.edge_nodes
+    ends = np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2)
+    bounds = np.searchsorted(edge, np.arange(len(ends) + 1))
     g_node = np.zeros(len(skeleton.nodes))
-    for e, (ids, _) in zip(skeleton.edges, basis.edge_nodes):
-        g_node[list(e.endpoints)] = g[ids[[0, -1]]]
+    g_node[ends] = g[ids[np.column_stack([bounds[:-1], bounds[1:] - 1])]]
     c = np.zeros(len(basis.table_labels))
-    for row, (kind, i) in enumerate(basis.table_labels):
-        if kind == "node" and skeleton.nodes[i].constrained:
-            c[row] = g_node[i]
-        elif kind == "edge" and skeleton.edges[i].on_dirichlet:
-            ids, t = basis.edge_nodes[i]
-            a, b = skeleton.edges[i].endpoints
-            c[row] = np.interp(0.5, t, g[ids]) - 0.5 * (g_node[a] + g_node[b])
+    c[:len(g_node)] = np.where([node.constrained for node in skeleton.nodes], g_node, 0.0)
+    rows = [row for row, (kind, i) in enumerate(basis.table_labels)
+            if kind == "edge" and skeleton.edges[i].on_dirichlet]
+    k = np.array([basis.table_labels[row][1] for row in rows], dtype=np.int64)
+    j = np.searchsorted(2 * edge + (t > 0.5), 2 * k + 1) - 1   # the last t <= 1/2
+    slope = (g[ids[j + 1]] - g[ids[j]]) / (t[j + 1] - t[j])
+    g_mid = np.where(t[j] == 0.5, g[ids[j]], slope * (0.5 - t[j]) + g[ids[j]])
+    c[rows] = g_mid - 0.5 * (g_node[ends[k, 0]] + g_node[ends[k, 1]])
     cells = [basis.table_support[row] for row in np.flatnonzero(c)]
     return c, np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]))
 

@@ -189,10 +189,14 @@ class BlockFactorization:
                    for part, lo in zip(parts[:-1], self.bounds)]
         try:
             last = _factor(parts[-1], self.bounds[-2])
-        finally:    # no piece is left factorizing once this returns or raises,
-            wait(futures)   # and the first piece to fail names the error
+        except BaseException:   # wait for every piece, so that none is left
+            wait(futures)       # factorizing and the first to fail is named,
             first = [f.result() for f in futures]
-        self.pieces = first + [last]
+            futures.clear()     # and let the worker's good pieces go on the
+            _TASKS.put(first.clear)     # worker, as __del__ does
+            raise
+        wait(futures)
+        self.pieces = [f.result() for f in futures] + [last]
         self.fill = sum(fact.fill for fact in self.pieces)
 
     def __del__(self):

@@ -23,16 +23,20 @@ from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
 from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
 from trefftz_dd.fem import assemble, exact_lshape, solve_fine
 from trefftz_dd.geometry import (
+    CoarseEdge,
+    CoarseNode,
     CoarsePartition,
     PerforatedDomain,
     Rect,
+    Skeleton,
     build_skeleton,
     refine_edges,
     snap,
 )
 from trefftz_dd import coarse
 from trefftz_dd.coarse import (
-    _AxisBuckets,
+    _axis_sort,
+    _edge_nodes,
     _extend_rows,
     _lift_coefficients,
     build_cell_cache,
@@ -338,24 +342,70 @@ def test_bubble_skipped_on_single_pitch_edge():
     assert np.isfinite(coarse_approximation(system, space)).all()
 
 
-def test_node_off_skeleton():
+def _on_mesh(mesh, position):
+    return np.abs(mesh.points - position).max(axis=1).min() <= 1e-9
+
+
+@pytest.mark.parametrize("levels, a_on_mesh, b_on_mesh, missing", [
+    (2, False, True, 0), (2, True, False, 1), (3, False, False, 0)],
+    ids=["misses-a", "misses-b", "no-fine-node"])
+def test_node_off_skeleton(levels, a_on_mesh, b_on_mesh, missing):
     _, _, mesh, system, skel = lshape_setup(pitch=1.0 / 3.0)
     cache = build_cell_cache(mesh, system, skel)
-    ref = refine_edges(skel, 2)  # splits land between pitch-1/3 nodes
+    ref = refine_edges(skel, levels)  # splits land between pitch-1/3 nodes
+    edge = next(e for e in ref.edges
+                if [_on_mesh(mesh, ref.nodes[i].position) for i in e.endpoints]
+                == [a_on_mesh, b_on_mesh])
+    if not (a_on_mesh or b_on_mesh):   # shorter than a pitch: no fine node at all
+        assert len(_edge_nodes_reference(mesh.points, dataclasses.replace(
+            ref, edges=[edge]))[0][0]) == 0
     with pytest.raises(NodeOffSkeleton) as exc:
-        build_trace_basis(mesh, ref, 1, cache)
-    # the error names a coarse node that no mesh node sits on
+        build_trace_basis(mesh, dataclasses.replace(ref, edges=[edge]), 1, cache)
+    # the error names the endpoint that misses, a coarse node that no mesh
+    # node sits on
+    assert exc.value.node == edge.endpoints[missing]
     assert exc.value.position == ref.nodes[exc.value.node].position
     assert np.abs(mesh.points - exc.value.position).max(axis=1).min() > 0.01
     assert str(exc.value) == "coarse node %d at %r is not a node of the fine mesh" % (
         exc.value.node, exc.value.position)
 
 
-def _free_rows_reference(skel, cache, p):
+def _edge_nodes_reference(points, skel):
+    """Per edge, brute force: (node ids, t) of the mesh nodes whose snapped
+    coordinate across the edge equals its endpoints' and whose coordinate
+    along it lies in its closed span (widened by 1e-9 of its length), by t,
+    ties by ascending node id."""
+    snapped = np.array([[snap(x), snap(y)] for x, y in points.tolist()]).reshape(-1, 2)
+    out = []
+    for e in skel.edges:
+        pa, pb = skel.edge_points(e)
+        across = 0 if snap(pa[0]) == snap(pb[0]) else 1
+        start, end = pa[1 - across], pb[1 - across]
+        lo, hi = min(start, end), max(start, end)
+        tol = 1e-9 * max(hi - lo, 1e-12)
+        along = points[:, 1 - across]
+        ids = np.flatnonzero((snapped[:, across] == snap(pa[across]))
+                             & (along >= lo - tol) & (along <= hi + tol))
+        t = (along[ids] - start) / (end - start)
+        order = np.lexsort((ids, t))
+        out.append((ids[order], t[order]))
+    return out
+
+
+def _assert_edge_nodes_match(points, skel):
+    edge, ids, t = _edge_nodes(skel, _axis_sort(points))
+    want = _edge_nodes_reference(points, skel)
+    assert np.array_equal(edge, np.repeat(np.arange(len(want)), [len(i) for i, _ in want]))
+    assert np.array_equal(ids, np.concatenate([np.empty(0, dtype=np.int64)]
+                                              + [i for i, _ in want]))
+    assert t.tobytes() == np.concatenate([np.empty(0)] + [t for _, t in want]).tobytes()
+
+
+def _free_rows_reference(mesh, skel, cache, p):
     """The basis traces built row by row: a hat for each free coarse node,
     then (p = 2) a bubble for each non-Dirichlet edge with a fine node
     strictly inside it."""
-    edge_nodes = [cache.buckets.on_segment(*skel.edge_points(e)) for e in skel.edges]
+    edge_nodes = _edge_nodes_reference(mesh.points, skel)
     rows = []
     for i, node in enumerate(skel.nodes):
         if not node.constrained:
@@ -388,11 +438,10 @@ def _lift_trace_reference(mesh, system, skel, p, cache):
             gc[i] = g[np.flatnonzero(at)[0]]
     trace = np.zeros(len(cache.skeleton_fine))
     cells = set()
-    for e in skel.edges:
+    for e, (ids, t) in zip(skel.edges, _edge_nodes_reference(mesh.points, skel)):
         a, b = e.endpoints
         if gc[a] == 0.0 and gc[b] == 0.0 and not e.on_dirichlet:
             continue
-        ids, t = cache.buckets.on_segment(*skel.edge_points(e))
         vals = gc[a] * (1.0 - t) + gc[b] * t
         if p == 2 and e.on_dirichlet:
             g_mid = float(np.interp(0.5, t, g[ids]))
@@ -432,7 +481,7 @@ def test_trace_table_matches_edge_by_edge_lift(pitch, n, rounds, g):
         skel = refine_edges(skel0, r)
         for p in (1, 2):
             basis = build_trace_basis(mesh, skel, p, cache)
-            want = _free_rows_reference(skel, cache, p)
+            want = _free_rows_reference(mesh, skel, cache, p)
             for name in ("indptr", "indices", "data"):
                 assert getattr(basis.T, name).tobytes() == getattr(want, name).tobytes()
             trace, cells = _lift_trace_reference(mesh, system, skel, p, cache)
@@ -510,32 +559,6 @@ def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
                       shape=(trace_rows.shape[0], dofmap.n_free)).tocsr()
 
 
-def _buckets_reference(points):
-    """Scalar-snap grouping: {snap(x): (ys ascending, ids)} and the same by y."""
-    groups = ({}, {})
-    for i, xy in enumerate(points.tolist()):
-        for axis in (0, 1):
-            groups[axis].setdefault(snap(xy[axis]), []).append(i)
-    out = []
-    for axis, group in enumerate(groups):
-        packed = {}
-        for key, ids in group.items():
-            ids = np.asarray(ids)
-            ids = ids[np.argsort(points[ids, 1 - axis], kind="stable")]
-            packed[key] = (points[ids, 1 - axis], ids)
-        out.append(packed)
-    return out
-
-
-def _assert_buckets_match(points):
-    buckets = _AxisBuckets(points)
-    for got, want in zip((buckets.by_x, buckets.by_y), _buckets_reference(points)):
-        assert got.keys() == want.keys()
-        for key, (coords, ids) in want.items():
-            assert np.array_equal(got[key][0], coords)
-            assert np.array_equal(got[key][1], ids)
-
-
 def _assert_rows_match_reference(mesh, system, cache, skel, p):
     basis = build_trace_basis(mesh, skel, p, cache)
     R = _extend_rows(system, cache, basis.T, basis.support_cells)
@@ -566,7 +589,7 @@ def test_extend_rows_matches_row_loop_on_urban(seed, nx, ny, p):
     skel = build_skeleton(domain, part)
     cache = build_cell_cache(mesh, system, skel)
     _assert_rows_match_reference(mesh, system, cache, skel, p)
-    _assert_buckets_match(mesh.points)
+    _assert_edge_nodes_match(mesh.points, skel)
 
 
 @given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((2, 4)),
@@ -632,16 +655,36 @@ def test_extend_rows_matches_row_loop_on_graded_lshape():
     cache = build_cell_cache(mesh, system, skel)
     for p in (1, 2):
         _assert_rows_match_reference(mesh, system, cache, refine_edges(skel, 2), p)
-    _assert_buckets_match(mesh.points)
+    for r in (0, 1, 2):
+        _assert_edge_nodes_match(mesh.points, refine_edges(skel, r))
 
 
-def test_buckets_merge_values_that_snap_alike():
-    # 0.1 + 0.2 and 0.3 differ in the last bit but snap to one key
+def test_edge_nodes_match_reference_on_graded_1_192_lshape():
+    # the mesh of the acceptance edge study: pitch 1/192, 6 grading rounds
+    domain, part, _, _, skel = lshape_setup(pitch=1.0 / 6.0)
+    mesh = refine_toward(generate_structured(domain, part, 1.0 / 192.0),
+                         np.array([[0.0, 0.0]]), 6)
+    for r in (0, 1, 2):
+        _assert_edge_nodes_match(mesh.points, refine_edges(skel, r))
+
+
+def test_edge_nodes_merge_values_that_snap_alike():
+    # 0.1 + 0.2 and 0.3 differ in the last bit but snap to one line
     xs = np.array([0.1 + 0.2, 0.3, 0.3, 0.1 + 0.2, 0.7])
     points = np.column_stack([xs, [2.0, 1.0, 2.0, 0.0, 1.0]])
     assert len(np.unique(xs)) == 3
-    _assert_buckets_match(points)
-    assert np.array_equal(_AxisBuckets(points).by_x[snap(0.3)][1], [3, 1, 0, 2])
+    nodes = [CoarseNode(xy, "cell-corner", False)
+             for xy in ((0.3, 0.0), (0.3, 2.0), (0.3, 1.0), (0.7, 1.0))]
+    # up the line x = 0.3, down it again (b -> a, decreasing y), and along y = 1
+    edges = [CoarseEdge(ends, 0, 0, False, (0,)) for ends in ((0, 1), (1, 0), (2, 3))]
+    skel = Skeleton(nodes, edges, 2.0)
+    _assert_edge_nodes_match(points, skel)
+    edge, ids, t = _edge_nodes(skel, _axis_sort(points))
+    # equal y (ids 0 and 2) is a tie in t, kept in ascending id either way
+    assert np.array_equal(ids[edge == 0], [3, 1, 0, 2])
+    assert np.array_equal(ids[edge == 1], [0, 2, 1, 3])
+    assert np.array_equal(t[edge == 1], [0.0, 0.0, 0.5, 1.0])
+    assert np.array_equal(ids[edge == 2], [1, 4])
 
 
 def test_interior_node_shared_by_two_cells_raises():

@@ -215,6 +215,33 @@ def test_block_factorization_frees_each_piece_on_its_own_thread(monkeypatch):
     assert same_thread == [True] * PIECES
 
 
+def test_block_factorization_frees_worker_pieces_when_the_last_fails(monkeypatch):
+    # when the calling thread's piece is indefinite, the worker's good piece
+    # must still be freed on the worker, or its factor leaks
+    main, freed = threading.get_ident(), []
+
+    class Tracked(Factorization):
+        def __init__(self, A):
+            self.built_on = threading.get_ident()   # set before a failure
+            super().__init__(A)
+
+        def __del__(self):
+            if self.built_on != main:
+                freed.append(self.built_on == threading.get_ident())
+
+    monkeypatch.setattr(numerics, "Factorization", Tracked)
+    A, block = block_stack(np.random.default_rng(7), [6, 6])
+    bad = A.tolil()
+    bad[8, 8] = -1.0
+    with pytest.raises(NotPositiveDefinite) as exc:
+        BlockFactorization(bad.tocsr(), block)
+    assert exc.value.index == 8
+    del exc
+    gc.collect()
+    numerics._on_worker(lambda: None).result()   # after the worker's release
+    assert freed == [True]
+
+
 def test_block_factorization_release_takes_no_lock(monkeypatch):
     # the cyclic garbage collector can free a factor at any allocation, here
     # while a worker task is being queued; the release must not wait for a
