@@ -356,11 +356,11 @@ def test_node_off_skeleton(levels, a_on_mesh, b_on_mesh, missing):
     edge = next(e for e in ref.edges
                 if [_on_mesh(mesh, ref.nodes[i].position) for i in e.endpoints]
                 == [a_on_mesh, b_on_mesh])
+    bad = dataclasses.replace(ref, edges=[edge])
     if not (a_on_mesh or b_on_mesh):   # shorter than a pitch: no fine node at all
-        assert len(_edge_nodes_reference(mesh.points, dataclasses.replace(
-            ref, edges=[edge]))[0][0]) == 0
+        assert len(_edge_nodes_reference(mesh.points, bad)[0][0]) == 0
     with pytest.raises(NodeOffSkeleton) as exc:
-        build_trace_basis(mesh, dataclasses.replace(ref, edges=[edge]), 1, cache)
+        build_trace_basis(mesh, bad, 1, cache)
     # the error names the endpoint that misses, a coarse node that no mesh
     # node sits on
     assert exc.value.node == edge.endpoints[missing]
