@@ -168,16 +168,13 @@ class TraceBasis:
     One table holds a hat row for every coarse node, in node order, then
     (p = 2) a bubble row for every edge that carries one, in edge order.
     The free rows (unconstrained nodes, non-Dirichlet edges) are the basis
-    traces T, with their labels and support cells; the rest carry the
-    Dirichlet lift."""
+    traces T, with their labels; the rest carry the Dirichlet lift."""
 
     p: int
     T: csr_matrix            # dim x len(skeleton_fine): the free rows of table
     labels: list             # ('node', coarse node id) or ('edge', edge index)
-    support_cells: list      # per row: sorted cell ids the trace touches
     table: csr_matrix = field(repr=False)   # every row, free or not
     table_labels: list = field(repr=False)
-    table_support: list = field(repr=False)
     edge_nodes: tuple = field(repr=False)   # (edge, node id, t): _edge_nodes
 
     @property
@@ -220,16 +217,8 @@ def build_trace_basis(mesh, skeleton, p, cache):
     order = order[(np.diff(keys[order], append=-1) != 0) & (keys[order] >= 0)]
     table = csr_matrix((np.concatenate(values)[order], cols[order], np.concatenate(
         [[0], np.cumsum(np.bincount(rows[order], minlength=n_rows))])), shape=(n_rows, n_cols))
-
-    # each row's support: the sorted cells of the edges it has parts on
-    cell_edge, cell = np.array([(k, c) for k, e in enumerate(skeleton.edges)
-                                for c in e.cells], dtype=np.int64).reshape(-1, 2).T
-    rows, m = np.concatenate([r[cell_edge] for r in row_of]), cell.max(initial=0) + 1
-    pairs = np.unique((rows * m + np.tile(cell, len(row_of)))[rows >= 0])
-    support = np.split(pairs % m, np.cumsum(np.bincount(pairs // m, minlength=n_rows))[:-1])
     free = np.flatnonzero(free)
-    return TraceBasis(p, table[free], [labels[j] for j in free],
-                      [support[j] for j in free], table, labels, support, edge_nodes)
+    return TraceBasis(p, table[free], [labels[j] for j in free], table, labels, edge_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +244,26 @@ class CoarseSpace:
         return self.R.T @ self.fact.solve(self.R @ r_free)
 
 
-def _extend_rows(system, cache, trace_rows, support_cells):
+def _extend_rows(system, cache, trace_rows):
     """Glue the harmonic extensions of the trace rows into basis functions.
 
     Returns a sparse matrix of basis functions on free dofs, one per row.
     Skeleton values are taken once from trace_rows.  Interior values come
-    from one multi-RHS solve of A_II: row s is extended into the interiors
-    of the cells support_cells[s], and each (cell, row) pair takes the
+    from one multi-RHS solve of A_II: row s is extended into the interior of
+    every cell where -A_IΓ T' has an entry in its column, that is every cell
+    whose boundary its trace touches.  The (cell, row) pairs are the sorted
+    distinct keys cell * k + row of those entries, and each pair takes the
     column given by the row's rank among its cell's rows, so the cells share
-    columns and the solve has as many as the busiest cell has rows.  The
-    entries of -A_IΓ T' whose (cell, row) pair is supported fill those
-    columns, found by one searchsorted on the ascending keys cell * k + row.
-    Each interior node belongs to one cell, so the pieces cannot disagree.
+    columns and the solve has as many as the busiest cell has rows.  Each
+    interior node belongs to one cell, so the pieces cannot disagree.
     """
     k = trace_rows.shape[0]
-    cells = np.concatenate([np.empty(0, dtype=np.int64), *support_cells])
-    pairs = np.sort(cells * k + np.repeat(np.arange(k), list(map(len, support_cells))))
+    rhs = (cache.A_it @ trace_rows.T).tocoo()
+    pairs, pair_of = np.unique(cache.interior_cell[rhs.row] * k + rhs.col, return_inverse=True)
     pair_cell = pairs // k
     col = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
-    rhs = (cache.A_it @ trace_rows.T).tocoo()
-    key = cache.interior_cell[rhs.row] * k + rhs.col
-    hit = np.isin(key, pairs)
     B = np.zeros((len(cache.interior), col.max(initial=-1) + 1), order="F")
-    B[rhs.row[hit], col[np.searchsorted(pairs, key[hit])]] = -rhs.data[hit]
+    B[rhs.row, col[pair_of]] = -rhs.data
     X = cache.fact.solve(B)
 
     # read back every interior node of every pair's cell
@@ -297,11 +283,10 @@ def _extend_rows(system, cache, trace_rows, support_cells):
 
 def _lift_coefficients(skeleton, basis, g):
     """Coefficients on the trace table of the coarse interpolant of the
-    nodal Dirichlet data g, and the sorted cells of the rows they weight.
-    A constrained coarse node's hat weighs g at the node (read at the end
-    of an incident edge's fine nodes); for p = 2, a Dirichlet edge's bubble
-    weighs the mismatch of g and the hats at the edge midpoint, with g
-    interpolated in t as np.interp does."""
+    nodal Dirichlet data g.  A constrained coarse node's hat weighs g at the
+    node (read at the end of an incident edge's fine nodes); for p = 2, a
+    Dirichlet edge's bubble weighs the mismatch of g and the hats at the
+    edge midpoint, with g interpolated in t as np.interp does."""
     edge, ids, t = basis.edge_nodes
     ends = np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2)
     bounds = np.searchsorted(edge, np.arange(len(ends) + 1))
@@ -316,8 +301,7 @@ def _lift_coefficients(skeleton, basis, g):
     slope = (g[ids[j + 1]] - g[ids[j]]) / (t[j + 1] - t[j])
     g_mid = np.where(t[j] == 0.5, g[ids[j]], slope * (0.5 - t[j]) + g[ids[j]])
     c[rows] = g_mid - 0.5 * (g_node[ends[k, 0]] + g_node[ends[k, 1]])
-    cells = [basis.table_support[row] for row in np.flatnonzero(c)]
-    return c, np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]))
+    return c
 
 
 def build_trefftz(mesh, system, skeleton, p, cache):
@@ -331,15 +315,12 @@ def build_trefftz(mesh, system, skeleton, p, cache):
     extension is one more row, and column, of the basis solve.
     """
     basis = build_trace_basis(mesh, skeleton, p, cache)
-    traces, support = basis.T, basis.support_cells
-    lift = None
+    traces, lift = basis.T, None
     if np.any(system.dirichlet_values):
-        c, cells = _lift_coefficients(skeleton, basis,
-                                      system.expand(np.zeros(system.dofmap.n_free)))
-        lift = c @ basis.table
+        lift = _lift_coefficients(skeleton, basis,
+                                  system.expand(np.zeros(system.dofmap.n_free))) @ basis.table
         traces = vstack([traces, csr_matrix(lift)], format="csr")
-        support = support + [cells]
-    R = _extend_rows(system, cache, traces, support)
+    R = _extend_rows(system, cache, traces)
     lift_full = None
     if lift is not None:
         lift_full = np.zeros(mesh.n_points)

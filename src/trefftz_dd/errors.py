@@ -80,7 +80,7 @@ class MeshNotNested(ValueError):
     """Field-vs-field errors need the reference mesh to refine the coarse one."""
 
 
-class PlacementFailure(RuntimeError):
+class PlacementFailure(GeometryError):
     """Rejection sampling could not place the requested perforations."""
 
     def __init__(self, placed_buildings, placed_walls, rejections):

@@ -124,14 +124,13 @@ class AssembledSystem:
         return u_full[self.dofmap.free_nodes]
 
 
-def assemble(mesh, f=None, g=None, dofmap=None):
+def assemble(mesh, f=None, g=None):
     """Assemble the Poisson system on the mesh.
 
     f is the volume load (callable on an (n,2) array, a scalar, or None for
     zero); g the Dirichlet boundary data (callable or None for zero).
     """
-    if dofmap is None:
-        dofmap = build_dofmap(mesh)
+    dofmap = build_dofmap(mesh)
     A_full = stiffness_matrix(mesh)
     load_full = lumped_load(mesh, f)
 

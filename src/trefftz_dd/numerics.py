@@ -21,7 +21,7 @@ from queue import SimpleQueue
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DimMismatch, NotPositiveDefinite
@@ -148,15 +148,17 @@ class BlockFactorization:
     respect to the nondecreasing row labels `block`.
 
     The rows are cut into PIECES contiguous pieces at label boundaries, each
-    cut at the boundary nearest an equal share of the stored entries (one
-    label gives one piece).  Every piece but the last is factorized on the
-    module's worker thread while the calling thread factorizes the last.
-    Each piece is a plain Factorization, so its factors do not depend on
-    the thread or the core count; iterating yields the pieces in row order.
-    A NotPositiveDefinite index is in the whole matrix's numbering (−1
-    stays −1); when several pieces fail, the first of them is named.  A
-    stored entry that couples two pieces raises ValueError.  `fill` sums
-    the pieces' fill.
+    cut at the boundary nearest an equal share of the stored entries, read
+    off the CSR row pointers (one label gives one piece).  A piece is a row
+    range A[lo:hi] of one CSR copy with its column indices shifted by lo.
+    Every piece but the last is factorized on the module's worker thread
+    while the calling thread factorizes the last.  Each piece is a plain
+    Factorization, so its factors do not depend on the thread or the core
+    count; iterating yields the pieces in row order.  A NotPositiveDefinite
+    index is in the whole matrix's numbering (−1 stays −1); when several
+    pieces fail, the first of them is named.  A stored entry whose column
+    lies outside its row's piece couples two pieces and raises ValueError
+    naming the first such (row, col).  `fill` sums the pieces' fill.
     """
 
     def __init__(self, A, block):
@@ -166,25 +168,25 @@ class BlockFactorization:
         block = np.asarray(block)
         if block.shape != (n,) or np.any(np.diff(block) < 0):
             raise ValueError("need one nondecreasing block label per row")
-        A = coo_matrix(A)
-        entries = np.concatenate([[0], np.cumsum(np.bincount(A.row, minlength=n))])
+        A = csr_matrix(A)
         starts = np.flatnonzero(np.diff(block)) + 1     # where a new label begins
-        share = entries[-1] * np.arange(1, PIECES) / PIECES
+        share = A.indptr[-1] * np.arange(1, PIECES) / PIECES
         cuts = []
         if len(starts):
-            cuts = starts[np.abs(entries[starts][:, None] - share).argmin(axis=0)]
+            cuts = starts[np.abs(A.indptr[starts][:, None] - share).argmin(axis=0)]
         self.bounds = np.concatenate([[0], np.unique(cuts), [n]]).astype(np.int64)
-        piece = np.searchsorted(self.bounds, A.row, side="right") - 1
-        cross = np.flatnonzero(piece != np.searchsorted(self.bounds, A.col, side="right") - 1)
-        if len(cross):
-            k = cross[0]
-            raise ValueError("entry (%d, %d) couples two pieces" % (A.row[k], A.col[k]))
         parts = []
-        for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
-            sel = piece == k
-            parts.append(csc_matrix((A.data[sel], (A.row[sel] - lo, A.col[sel] - lo)),
+        for lo, hi in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
+            begin, end = A.indptr[lo], A.indptr[hi]
+            cols = A.indices[begin:end] - lo
+            cross = np.flatnonzero((cols < 0) | (cols >= hi - lo))
+            if len(cross):
+                row = np.searchsorted(A.indptr, begin + cross[0], side="right") - 1
+                raise ValueError("entry (%d, %d) couples two pieces"
+                                 % (row, cols[cross[0]] + lo))
+            parts.append(csr_matrix((A.data[begin:end], cols, A.indptr[lo:hi + 1] - begin),
                                     shape=(hi - lo, hi - lo)))
-        del A, piece    # only the pieces stay alive while they are factorized
+        del A           # the pieces keep views of its data, not its indices
         futures = [_on_worker(_factor, part, lo)
                    for part, lo in zip(parts[:-1], self.bounds)]
         try:
@@ -236,13 +238,14 @@ class GmresOptions:
 def gmres(apply_A, apply_M, b, opts=None, callback=None):
     """Left-preconditioned restarted GMRES with modified Gram-Schmidt.
 
-    Solves A x = b, iterating on M (b - A x).  Convergence is declared when
-    the preconditioned residual drops below rel_tol * ||M b||.  `callback`,
-    when given, is invoked every iteration as callback(k, x_k, res, b_norm)
-    and may return True to stop early (the per-iteration iterate x_k is
-    reconstructed on the fly).  Returns (x, info) where info carries the
-    flags 'converged', 'breakdown', 'stagnation', the iteration count and
-    the preconditioned residual history.
+    Solves A x = b from x = 0, iterating on M (b - A x), so M b is both the
+    first residual and the scale of the stopping test: convergence is
+    declared when the preconditioned residual drops below rel_tol * ||M b||.
+    `callback`, when given, is invoked every iteration as callback(k, x_k,
+    res, b_norm) and may return True to stop early (the per-iteration
+    iterate x_k is reconstructed on the fly).  Returns (x, info) where info
+    carries the flags 'converged', 'breakdown', 'stagnation', the iteration
+    count and the preconditioned residual history.
     """
     if opts is None:
         opts = GmresOptions()
@@ -250,7 +253,8 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
     n = len(b)
     x = np.zeros(n)
 
-    b_norm = float(np.linalg.norm(apply_M(b)))
+    r = apply_M(b)      # the first residual M (b - A x), as x = 0
+    b_norm = float(np.linalg.norm(r))
     pre_res = []
     info = {"converged": False, "breakdown": False, "stagnation": False,
             "iterations": 0, "pre_res": pre_res}
@@ -266,7 +270,8 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
     total = 0
     stop = False
     while total < opts.max_iters and not stop:
-        r = apply_M(b - apply_A(x))
+        if total:
+            r = apply_M(b - apply_A(x))
         beta = float(np.linalg.norm(r))
         if beta <= target:
             info["converged"] = True

@@ -11,7 +11,7 @@ point does not converge).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .coarse import CoarseSpace, coarse_approximation
 from .errors import Divergence
@@ -42,18 +42,17 @@ class SchwarzContext:
 def build_schwarz(system, overlap, coarse=None):
     """Factorize the local operators A_j' = R_j' A R_j'^T as one stacked matrix.
 
-    With G the gather matrix of the concatenated subdomain dof sets, G A G^T
-    holds A_j' in its diagonal blocks; entries coupling two subdomains are
-    dropped, and the block-diagonal rest is factorized once, in pieces of
-    whole subdomains.  Empty subdomains contribute no rows.
+    A[gather][:, gather], which is G A G^T for the gather matrix G of the
+    concatenated subdomain dof sets, holds A_j' in its diagonal blocks;
+    entries coupling two subdomains are dropped, and the block-diagonal rest
+    is factorized once, in pieces of whole subdomains.  Empty subdomains
+    contribute no rows.
     """
     gather, block = _stacked(overlap.dof_sets)
-    n_stack, n = len(gather), system.dofmap.n_free
-    G = csr_matrix((np.ones(n_stack), (np.arange(n_stack), gather)), shape=(n_stack, n))
-    GAG = (G @ system.A @ G.T).tocoo()
-    keep = block[GAG.row] == block[GAG.col]
-    local = coo_matrix((GAG.data[keep], (GAG.row[keep], GAG.col[keep])),
-                       shape=(n_stack, n_stack))
+    GAG = system.A[gather][:, gather]
+    keep = np.repeat(block, np.diff(GAG.indptr)) == block[GAG.indices]
+    indptr = np.append(0, np.cumsum(keep))[GAG.indptr]     # kept entries before each row
+    local = csr_matrix((GAG.data[keep], GAG.indices[keep], indptr), shape=GAG.shape)
     del GAG
     return SchwarzContext(system, gather, 1.0 / overlap.multiplicity[gather],
                           BlockFactorization(local, block), coarse)

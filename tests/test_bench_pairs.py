@@ -1,14 +1,14 @@
 """Summary statistics of the pairing script `tools/bench_pairs.py`.
 
-Oracle: medians, inclusive quartiles, pair wins and per-pair ratios
-worked out by hand."""
+Oracle: medians, inclusive quartiles, pair wins, per-pair ratios and
+the traced runs' medians and ranges worked out by hand."""
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
 import bench_pairs  # noqa: E402
-from bench_pairs import record, side_spread, summarize  # noqa: E402
+from bench_pairs import layer_spread, record, side_spread, summarize  # noqa: E402
 
 
 def test_summarize_counts_pairs_and_ignores_missing_runs():
@@ -60,3 +60,11 @@ def test_record_keeps_the_load_before_the_run(monkeypatch):
     row = record(result, 101, load)
     assert row == {"seed": 101, "correct": True, "attempted": 4, "failed": 0,
                    "load_1min": 1.23, "cpus": 2, "wall_s": 2.1235}
+
+
+def test_layer_spread_of_traced_runs():
+    rows = [{"build_s": 0.30, "calls": 4}, {"build_s": 0.10}, {"build_s": 0.25, "calls": 6}]
+    # build_s sorted 0.10, 0.25, 0.30; calls only in two runs, median of 4 and 6
+    assert layer_spread(rows) == {"build_s": {"median": 0.25, "range": [0.10, 0.30]},
+                                  "calls": {"median": 5.0, "range": [4, 6]}}
+    assert layer_spread([{}, {}]) == {}

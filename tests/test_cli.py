@@ -53,6 +53,17 @@ def test_solve_command_urban(tmp_path):
     assert code == 0
 
 
+def test_unplaceable_urban_geometry_exits_2(tmp_path, capsys):
+    # five buildings of at least 4 x 4 pitches cannot keep their clearances
+    # in a 20 m square, so the request itself is invalid
+    code = main(["solve", "--urban", "1", "--extent", "20", "--pitch", "2.5",
+                 "--grid", "2", "2", "--buildings", "5", "--walls", "0",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: placement failed after 100000 rejections")
+
+
 def test_solve_unconverged_is_numerical_failure(tmp_path):
     code = main(["solve", "--grid", "3", "3", "--pitch", PITCH_1_24,
                  "--method", "hybrid", "--tol", "1e-12", "--max-iters", "1",

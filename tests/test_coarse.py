@@ -38,7 +38,6 @@ from trefftz_dd.coarse import (
     _axis_sort,
     _edge_nodes,
     _extend_rows,
-    _lift_coefficients,
     build_cell_cache,
     build_nicolaides,
     build_trace_basis,
@@ -426,10 +425,9 @@ def _free_rows_reference(mesh, skel, cache, p):
 
 
 def _lift_trace_reference(mesh, system, skel, p, cache):
-    """The lift's trace on skeleton_fine and its sorted support cells, edge
-    by edge: the hat interpolant of g at the constrained coarse nodes plus,
-    for p = 2, on each Dirichlet edge the bubble that matches g at the
-    edge midpoint."""
+    """The lift's trace on skeleton_fine, edge by edge: the hat interpolant
+    of g at the constrained coarse nodes plus, for p = 2, on each Dirichlet
+    edge the bubble that matches g at the edge midpoint."""
     g = system.expand(np.zeros(system.dofmap.n_free))
     gc = np.zeros(len(skel.nodes))
     for i, node in enumerate(skel.nodes):
@@ -437,7 +435,6 @@ def _lift_trace_reference(mesh, system, skel, p, cache):
             at = np.abs(mesh.points - node.position).max(axis=1) <= 1e-9
             gc[i] = g[np.flatnonzero(at)[0]]
     trace = np.zeros(len(cache.skeleton_fine))
-    cells = set()
     for e, (ids, t) in zip(skel.edges, _edge_nodes_reference(mesh.points, skel)):
         a, b = e.endpoints
         if gc[a] == 0.0 and gc[b] == 0.0 and not e.on_dirichlet:
@@ -447,9 +444,7 @@ def _lift_trace_reference(mesh, system, skel, p, cache):
             g_mid = float(np.interp(0.5, t, g[ids]))
             vals = vals + (g_mid - 0.5 * (gc[a] + gc[b])) * 4.0 * t * (1.0 - t)
         trace[cache.slot_of_node[ids]] = vals
-        if np.any(vals):
-            cells.update(e.cells)
-    return trace, np.array(sorted(cells), dtype=np.int64)
+    return trace
 
 
 def _vanishing_at_coarse_nodes(pts):
@@ -484,10 +479,9 @@ def test_trace_table_matches_edge_by_edge_lift(pitch, n, rounds, g):
             want = _free_rows_reference(mesh, skel, cache, p)
             for name in ("indptr", "indices", "data"):
                 assert getattr(basis.T, name).tobytes() == getattr(want, name).tobytes()
-            trace, cells = _lift_trace_reference(mesh, system, skel, p, cache)
+            trace = _lift_trace_reference(mesh, system, skel, p, cache)
             space = build_trefftz(mesh, system, skel, p, cache)
             assert np.abs(space.lift_full[cache.skeleton_fine] - trace).max() <= tol, (r, p)
-            assert np.array_equal(_lift_coefficients(skel, basis, g)[1], cells), (r, p)
 
 
 def _cell_solvers(mesh, system, cache):
@@ -517,11 +511,18 @@ def _cell_solvers(mesh, system, cache):
     return solvers
 
 
+def _edge_support(skel, labels):
+    """Each basis row's cells, read off the skeleton edges: the cells of the
+    edges incident to the coarse node of a hat, or of a bubble's own edge."""
+    return [sorted({c for e in skel.edges if i in e.endpoints for c in e.cells})
+            if kind == "node" else sorted(skel.edges[i].cells) for kind, i in labels]
+
+
 def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
-    """Row-by-row gluing: one harmonic extension per (row, cell) by the
-    per-cell solvers of `_cell_solvers`, checking on every write that no
-    node is interior to two cells and that cells agree on shared trace
-    nodes."""
+    """Row-by-row gluing: one harmonic extension per (row, cell) for the
+    cells support_cells[row], by the per-cell solvers of `_cell_solvers`,
+    checking on every write that no node is interior to two cells and that
+    cells agree on shared trace nodes."""
     dofmap = system.dofmap
     solvers = _cell_solvers(mesh, system, cache)
     ri, rj, rv = [], [], []
@@ -561,8 +562,11 @@ def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
 
 def _assert_rows_match_reference(mesh, system, cache, skel, p):
     basis = build_trace_basis(mesh, skel, p, cache)
-    R = _extend_rows(system, cache, basis.T, basis.support_cells)
-    want = _extend_rows_reference(mesh, system, cache, basis.T, basis.support_cells)
+    R = _extend_rows(system, cache, basis.T)
+    want = _extend_rows_reference(mesh, system, cache, basis.T,
+                                  _edge_support(skel, basis.labels))
+    # the (cell, row) pairs of A_IΓ T' reach exactly the cells of the edges
+    # each trace has parts on
     for name in ("indptr", "indices"):
         got_a, want_a = getattr(R, name), getattr(want, name)
         assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes(), name
@@ -606,30 +610,30 @@ def test_coarse_solves_match_dense_on_urban(seed, nx, ny, p):
     A_full, A = system.A_full.toarray(), system.A.toarray()
 
     # harmonic extension of a random trace = dense solve of the cell
-    # interior: row j of the glued basis extends its own random skeleton
-    # values into cell j alone
+    # interior: each row takes random values on a random part of the
+    # skeleton and is extended into every cell that part touches, and into
+    # no other, where the dense solve is zero
     cells = np.unique(mesh.cell_of_triangle)
-    traces = rng.standard_normal((len(cells), len(cache.skeleton_fine)))
-    R = _extend_rows(system, cache, csr_matrix(traces),
-                     [np.array([j]) for j in cells]).toarray()
+    traces = rng.standard_normal((4, len(cache.skeleton_fine)))
+    traces *= rng.random(traces.shape) < 0.2
+    R = _extend_rows(system, cache, csr_matrix(traces)).toarray()
     on_skel = system.dofmap.global_to_free[cache.skeleton_fine]
     free = on_skel >= 0
-    for row, j in enumerate(cells.tolist()):
-        g = traces[row]
-        assert np.array_equal(R[row, on_skel[free]], g[free])
+    assert np.array_equal(R[:, on_skel[free]], traces[:, free])
+    for j in cells.tolist():
         nodes = np.unique(mesh.triangles[mesh.cell_of_triangle == j])
         trace = nodes[cache.slot_of_node[nodes] >= 0]
         interior = nodes[cache.slot_of_node[nodes] < 0]
         assert np.array_equal(interior, cache.interior[cache.interior_cell == j])
+        if not len(interior):
+            continue
         A_ii = A_full[np.ix_(interior, interior)]
         A_it = A_full[np.ix_(interior, trace)]
-        g = g[cache.slot_of_node[trace]]
-        want = np.linalg.solve(A_ii, -A_it @ g) if len(interior) else np.empty(0)
+        want = np.linalg.solve(A_ii, -A_it @ traces[:, cache.slot_of_node[trace]].T).T
         cols = system.dofmap.global_to_free[interior]
         assert (cols >= 0).all()
-        got = R[row, cols]
-        assert np.abs(got - want).max(initial=0.0) \
-            <= 1e-10 * max(1.0, np.abs(want).max(initial=0.0)), j
+        got = R[:, cols]
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), j
 
     overlap = build_overlap(mesh, system.dofmap, 1, n_cells=part.n_cells)
     for space in (build_trefftz(mesh, system, skel, p, cache),

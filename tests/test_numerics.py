@@ -155,6 +155,29 @@ def test_block_factorization_refuses_coupled_pieces():
         BlockFactorization(coupled.tocsr(), block)
 
 
+def test_block_factorization_takes_csr_csc_and_coo():
+    rng = np.random.default_rng(31)
+    A, block = block_stack(rng, [7, 3, 12, 5, 9])
+    b = rng.standard_normal((A.shape[0], 2))
+    facts = [BlockFactorization(M, block) for M in (A.tocsr(), A.tocsc(), A.tocoo())]
+    for fact in facts[1:]:
+        assert fact.bounds.tolist() == facts[0].bounds.tolist()
+        assert fact.fill == facts[0].fill
+        assert fact.solve(b).tobytes() == facts[0].solve(b).tobytes()
+    # the first coupled entry in row order, in the whole matrix's numbering,
+    # whether it lies in the first piece or in a later one
+    cut = int(facts[0].bounds[1])
+    coupled = A.tolil()
+    coupled[cut + 1, cut - 2] = coupled[cut - 2, cut + 1] = -0.1
+    coupled[cut + 2, 1] = coupled[1, cut + 2] = -0.1
+    late = A.tolil()
+    late[cut + 3, 0] = -0.1
+    for M, entry in ((coupled, (1, cut + 2)), (late, (cut + 3, 0))):
+        for copy in (M.tocsr(), M.tocsc(), M.tocoo()):
+            with pytest.raises(ValueError, match=r"entry \(%d, %d\) couples two pieces" % entry):
+                BlockFactorization(copy, block)
+
+
 def test_block_factorization_is_reproducible():
     rng = np.random.default_rng(12)
     A, block = block_stack(rng, rng.integers(20, 60, size=7))
@@ -368,6 +391,26 @@ def test_gmres_history_and_identity_breakdown():
     x, info = gmres(lambda v: v, lambda v: v, b, GmresOptions())
     assert info["breakdown"] and info["converged"]
     assert np.allclose(x, b, atol=1e-14)
+
+
+def test_gmres_reuses_its_first_preconditioner_apply():
+    # M b is the first residual M (b - A x) at x = 0: one apply per Arnoldi
+    # step and per restart, plus the one that scales the stopping test
+    rng = np.random.default_rng(17)
+    A = random_spd(rng, 40)
+    M = diags(1.0 / A.diagonal())
+    b = rng.standard_normal(40)
+    b[3] = -0.0
+    for restart in (200, 5):
+        opts = GmresOptions(rel_tol=1e-10, restart=restart)
+        applies = []
+        _, info = gmres(lambda v: A @ v, lambda v: applies.append(1) or M @ v, b, opts)
+        cycles = -(-info["iterations"] // restart)
+        assert info["converged"] and len(applies) == info["iterations"] + cycles
+        # the same history, bit for bit, as from the recomputed M (b - A 0)
+        first = [M @ (b - A @ np.zeros(40))]
+        _, again = gmres(lambda v: A @ v, lambda v: first.pop() if first else M @ v, b, opts)
+        assert again["pre_res"].tobytes() == info["pre_res"].tobytes()
 
 
 def test_gmres_zero_rhs():

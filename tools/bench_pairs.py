@@ -10,10 +10,10 @@ For every workload in BENCHMARK.json, pair i of the PAIRS pairs runs
 `benchmarks/run.py --workload W --seed S` (untraced, at the benchmark's
 default run length) once on each side with seed S = FIRST_SEED + i; even
 pairs run the parent first and odd pairs the change first, so drift on a
-shared host falls on both sides alike.  Then each side makes one traced run
-at seed 1, the parent first, for the per-layer figures; one run per side
-resolves no per-layer change smaller than the run-to-run spread of a traced
-run.
+shared host falls on both sides alike.  Then each side makes TRACED traced
+runs at seed 1, alternating as the pairs do, for the per-layer figures: per
+side and metric the file holds their median and their min-max range, since
+one traced run per side swung 10-40% on layers a change did not touch.
 
 The output holds, per workload and end-to-end metric, each side's median
 and inclusive quartiles over its runs, the relative change of the medians
@@ -45,6 +45,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 PAIRS = 10
+TRACED = 3
 FIRST_SEED = 101
 
 
@@ -123,6 +124,16 @@ def side_spread(runs, name):
     return table
 
 
+def layer_spread(rows):
+    """Per metric, the median and the [min, max] of one side's traced runs,
+    over the runs that report it."""
+    table = {}
+    for name in dict.fromkeys(k for row in rows for k in row):
+        vals = [row[name] for row in rows if name in row]
+        table[name] = {"median": statistics.median(vals), "range": [min(vals), max(vals)]}
+    return table
+
+
 def values(result):
     """Metric name -> value, floats rounded to 4 decimals."""
     return {k: round(m["value"], 4) if isinstance(m["value"], float) else m["value"]
@@ -172,7 +183,9 @@ def main(argv=None):
                "end_to_end": "trace 0 runs, seeds %d-%d, one parent and one change "
                              "run per seed; even pairs run the parent first, odd "
                              "pairs the change" % (seeds[0], seeds[-1]),
-               "per_layer": "one trace 1 run per side at seed 1",
+               "per_layer": "%d trace 1 runs per side at seed 1, alternating "
+                            "as the pairs do; each side's median and [min, "
+                            "max] per metric" % TRACED,
                "fields": "median and inclusive quartiles over runs; change_wins "
                          "counts pairs where the change's value is lower; "
                          "pair_ratio_median/_iqr over the per-pair change/parent "
@@ -208,9 +221,14 @@ def main(argv=None):
                                        v["change_wins"])
                                    for k, v in entry["metrics"].items()}, flush=True)
             save()
-        entry["per_layer_seed1_traced"] = {
-            side: values(run_once(sides[side][1], workload, 1, 1, timeout)[0])
-            for side in ("parent", "change")}
+        traced = {"parent": [], "change": []}
+        for i in range(TRACED):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                traced[side].append(values(run_once(sides[side][1], workload, 1, 1,
+                                                    timeout)[0]))
+        entry["per_layer_seed1_traced"] = {side: layer_spread(rows)
+                                           for side, rows in traced.items()}
         save()
     return 0
 
