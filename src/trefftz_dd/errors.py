@@ -68,8 +68,9 @@ class SingularLocalSystem(ArithmeticError):
         self.cell = cell
 
 
-class GluingMismatch(RuntimeError):
-    """A fine node is interior to two cells, so the basis cannot be glued."""
+class GluingMismatch(ValueError):
+    """A fine node is interior to two cells, so the basis cannot be glued:
+    the mesh's cell labels disagree with the skeleton (invalid input)."""
 
 
 class RankDeficient(ArithmeticError):

@@ -1,8 +1,10 @@
 """Command-line interface tests (all in-process via main())."""
 import json
 
+import numpy as np
 import pytest
 
+from trefftz_dd import experiments
 from trefftz_dd.cli import main
 from trefftz_dd.experiments import generate_urban_synthetic
 from trefftz_dd.geometry import CoarsePartition, save_geometry
@@ -62,6 +64,29 @@ def test_unplaceable_urban_geometry_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: placement failed after 100000 rejections")
+
+
+def test_cell_labels_off_the_skeleton_exit_2(tmp_path, capsys, monkeypatch):
+    # moving the triangle of cell 0 nearest the middle of its interface with
+    # cell 1 into cell 1 makes its off-skeleton corner interior to both
+    # cells: the labels disagree with the skeleton, which is invalid input,
+    # not a numerical failure
+    real = experiments.assign_cells
+
+    def relabel(points, triangles, partition):
+        cells = real(points, triangles, partition).copy()
+        rect = partition.cell(0)
+        mid = np.array([rect.x1, (rect.y0 + rect.y1) / 2])
+        dist = np.linalg.norm(points[triangles].mean(axis=1) - mid, axis=1)
+        cells[np.argmin(np.where(cells == 0, dist, np.inf))] = 1
+        return cells
+
+    monkeypatch.setattr(experiments, "assign_cells", relabel)
+    code = main(["solve", "--grid", "3", "3", "--pitch", PITCH_1_24,
+                 "--method", "gmres", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: a node is interior to two cells\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_solve_unconverged_is_numerical_failure(tmp_path):

@@ -47,7 +47,7 @@ from trefftz_dd.coarse import (
     schur_split,
 )
 from trefftz_dd.mesh import build_dofmap, build_overlap, generate_structured, refine_toward
-from trefftz_dd.numerics import PIECES
+from trefftz_dd.numerics import PIECES, SUPERLU
 
 
 def lshape_setup(pitch=1.0 / 12.0, n=3, f=None, g=None):
@@ -497,9 +497,7 @@ def _cell_solvers(mesh, system, cache):
         mask = on_skeleton[nodes]
         trace, interior = nodes[mask], nodes[~mask]
         A_i = A_full[interior]
-        lu = splu(csc_matrix(A_i[:, interior]), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True}) \
-            if len(interior) else None
+        lu = splu(csc_matrix(A_i[:, interior]), **SUPERLU) if len(interior) else None
 
         def extend(g, mask=mask, lu=lu, A_it=A_i[:, trace]):
             out = np.empty(len(mask))
