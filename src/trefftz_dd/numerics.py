@@ -29,23 +29,19 @@ from .errors import DimMismatch, NotPositiveDefinite
 #: pivots below this are treated as a Krylov-basis breakdown
 BREAKDOWN = 1e-300
 
-#: SuperLU's configuration for every factorization: symmetric mode with
-#: minimum-degree ordering on A+A' and diagonal pivots only (the SPD
-#: certificate), and one-column panels.  scipy's default 20-column panel
+#: SuperLU's configuration for every factorization: symmetric mode,
+#: minimum-degree ordering on A+A', diagonal pivots only (see
+#: Factorization) and one-column panels.  scipy's default 20-column panel
 #: (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20(3),
 #: 1999) costs more than it saves on 2-D P1 stiffness matrices and stacks
-#: of small blocks: with a 1-column panel `splu` took 29% less time on the
-#: 64k-row urban fine matrix, 35% less on the 16x16 cell-interior stack and
-#: on the 16x16 and 8x8 stacked Schwarz matrices, 27% less on the graded
-#: L-shape and 17% less on the 255k-row red-refined urban reference (2-core
-#: x86-64 host, one BLAS thread, medians of 5).  2- to 6-column panels were
-#: slower on every family but the reference, where they were within its
-#: noise; 10-column panels were slower on all.  The panel size does not
-#: enter the L+U structure, so the fill and the solve times stay as they
-#: were; the factors move at rounding level.
-#: `relax` stays at scipy's default 10: it sets the relaxed supernodes and
-#: so SuperLU's stored entries (3.06M on the urban fine matrix, 2.98M at
-#: relax 1, 3.00M at 20), and no other value was faster in every family.
+#: of small blocks: one-column panels factorized 27-35% faster on the urban
+#: fine, cell-interior and stacked Schwarz matrices and the graded L-shape,
+#: and 17% faster on the 255k-row urban reference (2-core x86-64 host, one
+#: BLAS thread, medians of 5); 2- to 10-column panels were no faster beyond
+#: the noise.  The panel size does not enter the L+U structure, so the fill
+#: and the solve times stay as they were and the factors move at rounding
+#: level.  `relax` stays at scipy's 10, which keeps the relaxed supernodes
+#: and SuperLU's stored entries as they were too.
 SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                panel_size=1, options={"SymmetricMode": True})
 
