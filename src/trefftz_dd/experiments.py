@@ -20,7 +20,7 @@ from .fem import (assemble, error_norms, exact_lshape, nested_reference,
                   solve_fine)
 from .geometry import (CoarsePartition, PerforatedDomain, Rect, build_skeleton,
                        cell_extent, load_geometry, refine_edges)
-from .mesh import (assign_cells, build_overlap, generate_structured,
+from .mesh import (_int_ratio, assign_cells, build_overlap, generate_structured,
                    red_refine, refine_toward)
 from .schwarz import (REPORT_COLUMNS, ErrorMonitor, build_schwarz,
                       hybrid_iterate, solve_pgmres)
@@ -131,6 +131,8 @@ def run_lshape_convergence(strategy="edge", p=1, levels=None, pitch=None,
     the H1-projection estimate bounds), up to the |u| vs |u_h| scaling of
     the relative norms.
     """
+    if (levels is not None and levels < 1) or divisions < 1:
+        raise ValueError("levels and divisions must be >= 1")
     if strategy == "edge":
         levels = 4 if levels is None else levels
         grade = 3 if grade is None else grade
@@ -187,9 +189,7 @@ def generate_urban_synthetic(seed, extent=640.0, pitch=2.5, n_buildings=24,
     connected.  All randomness is integer draws from PCG64(seed), so the
     result is reproducible bit for bit.
     """
-    cells = round(extent / pitch)
-    if abs(cells * pitch - extent) > 1e-9 * pitch:
-        raise ValueError("extent must be a whole number of pitches")
+    cells = _int_ratio(extent, pitch, "extent")
     rng = np.random.Generator(np.random.PCG64(seed))
     free = np.ones((cells, cells), dtype=bool)   # [ix, iy] pitch squares
     buildings, walls = [], []
@@ -420,7 +420,7 @@ def run_scalability(seed=1, outdir=None, n_values=N_VALUES,
     overlap rules give the same number of layers, the overlap is built and
     solved once and its rows are written for both rules.
     """
-    pitches = round(extent / pitch)
+    pitches = _int_ratio(extent, pitch, "extent")
     if any(N < 1 or math.isqrt(N) ** 2 != N or pitches % math.isqrt(N)
            for N in n_values):
         raise ValueError("n_values entries must be positive perfect squares "

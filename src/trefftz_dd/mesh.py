@@ -108,6 +108,8 @@ def _boundary_pairs(triangles):
 
 
 def _int_ratio(length, step, what):
+    if step <= 0:
+        raise PitchMismatch("the pitch must be positive, got %r" % (step,))
     r = length / step
     n = int(round(r))
     if n < 1 or abs(r - n) > 1e-9 * max(1.0, abs(r)):

@@ -16,7 +16,6 @@ import os
 import sys
 import threading
 from concurrent.futures import Future, wait
-from dataclasses import dataclass
 from queue import SimpleQueue
 
 import numpy as np
@@ -243,14 +242,11 @@ class BlockFactorization:
         return x
 
 
-@dataclass
-class GmresOptions:
-    rel_tol: float = 1e-8
-    max_iters: int = 1000
-    restart: int = 200
+#: restart length of gmres, the only one the solvers use
+RESTART = 200
 
 
-def gmres(apply_A, apply_M, b, opts=None, callback=None):
+def gmres(apply_A, apply_M, b, rel_tol=1e-8, max_iters=1000, callback=None):
     """Left-preconditioned restarted GMRES with modified Gram-Schmidt.
 
     Solves A x = b from x = 0, iterating on M (b - A x), so M b is both the
@@ -258,40 +254,33 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
     declared when the preconditioned residual drops below rel_tol * ||M b||.
     `callback`, when given, is invoked every iteration as callback(k, x_k,
     res, b_norm) and may return True to stop early (the per-iteration
-    iterate x_k is reconstructed on the fly).  Returns (x, info) where info
-    carries the flags 'converged', 'breakdown', 'stagnation', the iteration
-    count and the preconditioned residual history.
+    iterate x_k is reconstructed on the fly).  Returns (x, iterations, stop);
+    stop is "callback", "breakdown" (lucky: x is exact) or "tol", checked in
+    that order each iteration, else "stagnation" (a restart cycle without
+    progress) or "max_iters".
     """
-    if opts is None:
-        opts = GmresOptions()
     b = np.asarray(b, dtype=float)
     n = len(b)
     x = np.zeros(n)
 
     r = apply_M(b)      # the first residual M (b - A x), as x = 0
     b_norm = float(np.linalg.norm(r))
-    pre_res = []
-    info = {"converged": False, "breakdown": False, "stagnation": False,
-            "iterations": 0, "pre_res": pre_res}
     if b_norm == 0.0:
-        info["converged"] = True
-        return np.zeros(n), info
-    target = opts.rel_tol * b_norm
+        return x, 0, "tol"
+    target = rel_tol * b_norm
 
-    def current(V, H, g, j, base):
+    def current(j):     # the iterate after step j of the running cycle
         y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1], lower=False)
-        return base + y @ V[:j + 1]
+        return x + y @ V[:j + 1]
 
     total = 0
-    stop = False
-    while total < opts.max_iters and not stop:
+    while total < max_iters:
         if total:
             r = apply_M(b - apply_A(x))
         beta = float(np.linalg.norm(r))
         if beta <= target:
-            info["converged"] = True
-            break
-        m = min(opts.restart, opts.max_iters - total)
+            return x, total, "tol"
+        m = min(RESTART, max_iters - total)
         # rows are written one by one, so untouched pages are never mapped
         V = np.empty((m + 1, n))
         V[0] = r / beta
@@ -300,7 +289,6 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        j = -1
         for j in range(m):
             # copy: apply_A / apply_M may hand back their argument unchanged
             w = np.array(apply_M(apply_A(V[j])), dtype=float)
@@ -326,27 +314,16 @@ def gmres(apply_A, apply_M, b, opts=None, callback=None):
             g[j] = cs[j] * g[j]
             res = abs(g[j + 1])
             total += 1
-            pre_res.append(res)
-            if callback is not None and callback(total, current(V, H, g, j, x),
-                                                 res, b_norm):
-                stop = True
-            if lucky:
-                info["breakdown"] = True
-                info["converged"] = True
-                stop = True
+            if callback is not None and callback(total, current(j), res, b_norm):
+                stop = "callback"
+            elif lucky:
+                stop = "breakdown"
             elif res <= target:
-                info["converged"] = True
-                stop = True
-            if stop or total >= opts.max_iters:
-                break
-        if j >= 0:
-            x = current(V, H, g, j, x)
-        if not stop and not info["converged"] and total < opts.max_iters:
-            # no progress over a whole restart cycle: give up
-            if pre_res[-1] >= beta:
-                info["stagnation"] = True
-                break
-    info["iterations"] = total
-    info["pre_res"] = np.asarray(pre_res)
-    return x, info
-
+                stop = "tol"
+            else:
+                continue
+            return current(j), total, stop
+        x = current(j)
+        if total < max_iters and res >= beta:   # no progress over a whole cycle
+            return x, total, "stagnation"
+    return x, total, "max_iters"

@@ -18,7 +18,7 @@ from .errors import Divergence
 from .fem import (AssembledSystem, NestedReference, error_norms, mass_matrix,
                   nested_reference, solve_fine)
 from .mesh import _stacked
-from .numerics import BlockFactorization, GmresOptions, gmres
+from .numerics import BlockFactorization, gmres
 
 REPORT_COLUMNS = "iter,res_norm,alg_err_L2,alg_err_H1,full_err_L2,full_err_H1"
 
@@ -198,32 +198,18 @@ def solve_pgmres(ctx, monitor=None, rel_tol=1e-8, error_tol=None,
     f = system.f
     apply_m = apply_two_level if ctx.coarse is not None else apply_ras
     report = IterationReport("gmres")
-    f_norm = np.linalg.norm(f) or 1.0
-    if monitor is not None:
-        errs = monitor.record(system.expand(np.zeros_like(f)))
-    else:
-        errs = (np.nan,) * 4
-    report.rows.append((0, 1.0) + errs)
-    hit = [False]
 
     def callback(k, x_k, res, b_norm):
-        if monitor is not None:
-            errs = monitor.record(system.expand(x_k))
-        else:
-            errs = (np.nan,) * 4
+        errs = (np.nan,) * 4 if monitor is None else monitor.record(system.expand(x_k))
         report.rows.append((k, res / b_norm) + errs)
-        if error_tol is not None and errs[0] <= error_tol:
-            hit[0] = True
-            return True
-        return False
+        return error_tol is not None and errs[0] <= error_tol
 
-    opts = GmresOptions(rel_tol=0.0 if error_tol is not None else rel_tol,
-                        max_iters=max_iters)
-    x, info = gmres(lambda v: ctx.system.A @ v, lambda v: apply_m(ctx, v),
-                    f, opts, callback=callback)
-    report.converged = hit[0] if error_tol is not None else info["converged"]
-    report.iterations = info["iterations"]
-    report.stop = ("error_tol" if hit[0] else "breakdown" if info["breakdown"]
-                   else "stagnation" if info["stagnation"]
-                   else "tol" if info["converged"] else "max_iters")
+    callback(0, np.zeros_like(f), 1.0, 1.0)
+    x, report.iterations, stop = gmres(
+        lambda v: system.A @ v, lambda v: apply_m(ctx, v), f,
+        rel_tol=0.0 if error_tol is not None else rel_tol, max_iters=max_iters,
+        callback=callback)
+    report.stop = "error_tol" if stop == "callback" else stop
+    report.converged = (stop == "callback" if error_tol is not None
+                        else stop in ("tol", "breakdown"))
     return system.expand(x), report

@@ -149,3 +149,25 @@ def test_scalability_partition_off_the_pitch_grid_exits_2(tmp_path, capsys):
     assert code == 2
     assert "divides the 32 pitches per side" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["lshape", "--strategy", "mesh", "--levels", "0"], None),
+    (["lshape", "--strategy", "edge", "--levels", "0"], None),
+    (["lshape"], {"levels": 0}),
+    (["lshape", "--strategy", "mesh", "--divisions", "0"], None),
+    (["lshape", "--pitch", "0"], None),
+    (["solve", "--pitch", "0"], None),
+    (["scalability", "--pitch", "0"], None),
+], ids=["mesh-levels", "edge-levels", "config-levels", "mesh-divisions",
+        "lshape-pitch", "solve-pitch", "scalability-pitch"])
+def test_invalid_counts_and_pitches_exit_2(tmp_path, capsys, argv, config):
+    # caught before any work, as invalid input: no traceback, no
+    # "numerical failure", no output files
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -18,8 +18,7 @@ from trefftz_dd.experiments import (_fine_problem, generate_urban_synthetic,
                                     lshape_domain)
 from trefftz_dd.geometry import CoarsePartition
 from trefftz_dd.mesh import build_overlap
-from trefftz_dd.numerics import (PIECES, BlockFactorization, Factorization,
-                                  GmresOptions, gmres)
+from trefftz_dd.numerics import PIECES, BlockFactorization, Factorization, gmres
 
 
 def random_spd(rng, n, density=0.3):
@@ -371,9 +370,8 @@ def test_gmres_solves_spd_system():
         A = random_spd(rng, n)
         b = rng.standard_normal(n)
         M = diags(1.0 / A.diagonal())
-        x, info = gmres(lambda v: A @ v, lambda v: M @ v, b,
-                        GmresOptions(rel_tol=1e-10, max_iters=500))
-        assert info["converged"]
+        x, _, stop = gmres(lambda v: A @ v, lambda v: M @ v, b, rel_tol=1e-10, max_iters=500)
+        assert stop == "tol"
         want = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(x - want) <= 1e-6 * np.linalg.norm(want)
 
@@ -383,18 +381,19 @@ def test_gmres_perfect_preconditioner_converges_immediately():
     A = random_spd(rng, 30)
     fact = Factorization(A)
     b = rng.standard_normal(30)
-    x, info = gmres(lambda v: A @ v, fact.solve, b, GmresOptions(rel_tol=1e-12))
-    assert info["converged"] and info["iterations"] <= 3
+    x, iterations, stop = gmres(lambda v: A @ v, fact.solve, b, rel_tol=1e-12)
+    assert stop in ("tol", "breakdown") and iterations <= 3
     assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
-def test_gmres_restart_path():
+def test_gmres_restart_path(monkeypatch):
+    monkeypatch.setattr(numerics, "RESTART", 5)
     rng = np.random.default_rng(9)
     A = random_spd(rng, 40)
     b = rng.standard_normal(40)
-    x, info = gmres(lambda v: A @ v, lambda v: v, b,
-                    GmresOptions(rel_tol=1e-10, restart=5, max_iters=400))
-    assert info["converged"]
+    x, iterations, stop = gmres(lambda v: A @ v, lambda v: v, b, rel_tol=1e-10,
+                                max_iters=400)
+    assert stop == "tol" and iterations > 5
     assert np.linalg.norm(A @ x - b) <= 1e-7 * np.linalg.norm(b)
 
 
@@ -409,31 +408,35 @@ def test_gmres_callback_early_stop():
         assert xk.shape == (25,)
         return k >= 3
 
-    x, info = gmres(lambda v: A @ v, lambda v: v, b,
-                    GmresOptions(rel_tol=1e-14), callback=cb)
-    assert info["iterations"] == 3
+    x, iterations, stop = gmres(lambda v: A @ v, lambda v: v, b, rel_tol=1e-14,
+                                callback=cb)
+    assert iterations == 3 and stop == "callback"
     assert [k for k, _ in seen] == [1, 2, 3]
-    assert not info["converged"]
+
+
+def history(apply_A, apply_M, b, **kw):
+    """gmres' result and its preconditioned residuals, read off the callback."""
+    res = []
+    out = gmres(apply_A, apply_M, b, callback=lambda k, x, r, b_norm: res.append(r), **kw)
+    return out, np.array(res)
 
 
 def test_gmres_history_and_identity_breakdown():
     rng = np.random.default_rng(3)
     A = random_spd(rng, 20)
     b = rng.standard_normal(20)
-    x, info = gmres(lambda v: A @ v, lambda v: v, b,
-                    GmresOptions(rel_tol=1e-10))
-    res = info["pre_res"]
-    assert len(res) == info["iterations"]
+    (x, iterations, stop), res = history(lambda v: A @ v, lambda v: v, b, rel_tol=1e-10)
+    assert stop == "tol" and len(res) == iterations
     assert (np.diff(res) <= 1e-12 * res[0]).all()  # Givens residuals never grow
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 2e-10
 
     # A = I converges in one step by exact breakdown
-    x, info = gmres(lambda v: v, lambda v: v, b, GmresOptions())
-    assert info["breakdown"] and info["converged"]
+    x, iterations, stop = gmres(lambda v: v, lambda v: v, b)
+    assert stop == "breakdown" and iterations == 1
     assert np.allclose(x, b, atol=1e-14)
 
 
-def test_gmres_reuses_its_first_preconditioner_apply():
+def test_gmres_reuses_its_first_preconditioner_apply(monkeypatch):
     # M b is the first residual M (b - A x) at x = 0: one apply per Arnoldi
     # step and per restart, plus the one that scales the stopping test
     rng = np.random.default_rng(17)
@@ -442,18 +445,37 @@ def test_gmres_reuses_its_first_preconditioner_apply():
     b = rng.standard_normal(40)
     b[3] = -0.0
     for restart in (200, 5):
-        opts = GmresOptions(rel_tol=1e-10, restart=restart)
+        monkeypatch.setattr(numerics, "RESTART", restart)
         applies = []
-        _, info = gmres(lambda v: A @ v, lambda v: applies.append(1) or M @ v, b, opts)
-        cycles = -(-info["iterations"] // restart)
-        assert info["converged"] and len(applies) == info["iterations"] + cycles
+        (_, iterations, stop), res = history(
+            lambda v: A @ v, lambda v: applies.append(1) or M @ v, b, rel_tol=1e-10)
+        cycles = -(-iterations // restart)
+        assert stop == "tol" and len(applies) == iterations + cycles
         # the same history, bit for bit, as from the recomputed M (b - A 0)
         first = [M @ (b - A @ np.zeros(40))]
-        _, again = gmres(lambda v: A @ v, lambda v: first.pop() if first else M @ v, b, opts)
-        assert again["pre_res"].tobytes() == info["pre_res"].tobytes()
+        _, again = history(lambda v: A @ v, lambda v: first.pop() if first else M @ v, b,
+                           rel_tol=1e-10)
+        assert again.tobytes() == res.tobytes()
 
 
 def test_gmres_zero_rhs():
-    x, info = gmres(lambda v: v, lambda v: v, np.zeros(7), GmresOptions())
-    assert info["converged"] and np.array_equal(x, np.zeros(7))
+    x, iterations, stop = gmres(lambda v: v, lambda v: v, np.zeros(7))
+    assert (iterations, stop) == (0, "tol") and np.array_equal(x, np.zeros(7))
 
+
+def test_gmres_no_iterations_allowed():
+    applies = []
+    x, iterations, stop = gmres(lambda v: v, lambda v: applies.append(1) or v, np.ones(7),
+                                max_iters=0)
+    assert (iterations, stop) == (0, "max_iters") and np.array_equal(x, np.zeros(7))
+    assert len(applies) == 1
+
+
+def test_gmres_stagnation(monkeypatch):
+    # GMRES(1) on the cyclic shift from e_1: A e_1 = e_2 is orthogonal to
+    # the residual, so the first cycle leaves the residual where it was
+    monkeypatch.setattr(numerics, "RESTART", 1)
+    A = np.roll(np.eye(6), 1, axis=0)
+    b = np.eye(6)[0]
+    x, iterations, stop = gmres(lambda v: A @ v, lambda v: v, b)
+    assert (iterations, stop) == (1, "stagnation") and np.array_equal(x, np.zeros(6))
