@@ -180,14 +180,27 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as exc:
             print("error: cannot read config: %s" % exc, file=sys.stderr)
             return 2
-        known = {action.dest for action in subs[args.command]._actions}
-        unknown = set(overrides) - known
+        if not isinstance(overrides, dict):
+            print("error: config must hold a JSON object", file=sys.stderr)
+            return 2
+        flag = {action.dest: action.option_strings[0]
+                for action in subs[args.command]._actions if action.dest != "help"}
+        unknown = set(overrides) - set(flag)
         if unknown:
             print("error: unknown config keys: %s" % ", ".join(sorted(unknown)),
                   file=sys.stderr)
             return 2
-        subs[args.command].set_defaults(**overrides)
-        args = parser.parse_args(argv)   # explicit flags still win
+        # argparse checks each entry as the option tokens it stands for;
+        # the checked values become defaults, so explicit flags still win
+        tokens = [token for key, value in overrides.items() for token in (
+            [flag[key], *map(str, value)] if isinstance(value, list)
+            else ["%s=%s" % (flag[key], value)])]
+        try:
+            checked = subs[args.command].parse_args(tokens)
+        except SystemExit:      # argparse has reported the bad value
+            return 2
+        subs[args.command].set_defaults(**{key: getattr(checked, key) for key in overrides})
+        args = parser.parse_args(argv)
     try:
         if args.command == "lshape":
             return cmd_lshape(args)

@@ -66,8 +66,7 @@ def _edge_nodes(skeleton, axis_sort):
     whose ends are not both fine nodes has a coarse node off the mesh:
     NodeOffSkeleton names the end that misses of the first such edge."""
     records, node_ids = axis_sort
-    ends = np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2)
-    xy = np.array([node.position for node in skeleton.nodes], dtype=float).reshape(-1, 2)
+    ends, xy = skeleton.ends, skeleton.points
     (a, b), (snap_a, snap_b) = xy[ends.T], _snapped(xy)[ends.T]
     vertical = snap_a[:, 0] == snap_b[:, 0]
     key = np.where(vertical, snap_a[:, 0], snap_a[:, 1])
@@ -92,7 +91,7 @@ def _edge_nodes(skeleton, axis_sort):
     off = np.flatnonzero(~(hit_a & hit_b))
     if len(off):
         node = int(ends[off[0], int(hit_a[off[0]])])   # the end that misses
-        raise NodeOffSkeleton(node, skeleton.nodes[node].position)
+        raise NodeOffSkeleton(node, tuple(xy[node].tolist()))
     return edge, ids, t
 
 
@@ -174,7 +173,7 @@ class TraceBasis:
     T: csr_matrix            # dim x len(skeleton_fine): the free rows of table
     labels: list             # ('node', coarse node id) or ('edge', edge index)
     table: csr_matrix = field(repr=False)   # every row, free or not
-    table_labels: list = field(repr=False)
+    bubble_row: np.ndarray = field(repr=False)  # each edge's bubble row of table, or -1
     edge_nodes: tuple = field(repr=False)   # (edge, node id, t): _edge_nodes
 
     @property
@@ -194,18 +193,20 @@ def build_trace_basis(mesh, skeleton, p, cache):
     if p not in (1, 2):
         raise ValueError("trace degree must be 1 or 2, got %r" % (p,))
     edge, ids, t = edge_nodes = _edge_nodes(skeleton, cache.axis_sort)
-    n_nodes = len(skeleton.nodes)
+    n_nodes, n_edges = len(skeleton.points), len(skeleton.ends)
     # per edge, the row each part fills: the hats of a and b, then a bubble
-    row_of = list(np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2).T)
+    row_of = list(skeleton.ends.T)
     values = [1.0 - t, 1.0 - (1.0 - t)]
     labels = [("node", i) for i in range(n_nodes)]
-    free = [not node.constrained for node in skeleton.nodes]
+    free = [~skeleton.constrained]
+    bubble_row = np.full(n_edges, -1)
     if p == 2:
         values.append(4.0 * t * (1.0 - t))
-        carries = np.bincount(edge[values[2] > 0.0], minlength=len(skeleton.edges)) > 0
-        row_of.append(np.where(carries, n_nodes + np.cumsum(carries) - 1, -1))
+        carries = np.bincount(edge[values[2] > 0.0], minlength=n_edges) > 0
+        bubble_row[carries] = n_nodes + np.arange(carries.sum())
+        row_of.append(bubble_row)
         labels += [("edge", k) for k in np.flatnonzero(carries).tolist()]
-        free += [not skeleton.edges[k].on_dirichlet for _, k in labels[n_nodes:]]
+        free.append(~skeleton.on_dirichlet[carries])
     n_rows, n_cols = len(labels), len(cache.skeleton_fine)
 
     # keep the last entry of each (row, column) in edge order; the keys
@@ -217,8 +218,8 @@ def build_trace_basis(mesh, skeleton, p, cache):
     order = order[(np.diff(keys[order], append=-1) != 0) & (keys[order] >= 0)]
     table = csr_matrix((np.concatenate(values)[order], cols[order], np.concatenate(
         [[0], np.cumsum(np.bincount(rows[order], minlength=n_rows))])), shape=(n_rows, n_cols))
-    free = np.flatnonzero(free)
-    return TraceBasis(p, table[free], [labels[j] for j in free], table, labels, edge_nodes)
+    free = np.flatnonzero(np.concatenate(free))
+    return TraceBasis(p, table[free], [labels[j] for j in free], table, bubble_row, edge_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +289,17 @@ def _lift_coefficients(skeleton, basis, g):
     Dirichlet edge's bubble weighs the mismatch of g and the hats at the
     edge midpoint, with g interpolated in t as np.interp does."""
     edge, ids, t = basis.edge_nodes
-    ends = np.array([e.endpoints for e in skeleton.edges], dtype=np.int64).reshape(-1, 2)
+    ends = skeleton.ends
     bounds = np.searchsorted(edge, np.arange(len(ends) + 1))
-    g_node = np.zeros(len(skeleton.nodes))
+    g_node = np.zeros(len(skeleton.points))
     g_node[ends] = g[ids[np.column_stack([bounds[:-1], bounds[1:] - 1])]]
-    c = np.zeros(len(basis.table_labels))
-    c[:len(g_node)] = np.where([node.constrained for node in skeleton.nodes], g_node, 0.0)
-    rows = [row for row, (kind, i) in enumerate(basis.table_labels)
-            if kind == "edge" and skeleton.edges[i].on_dirichlet]
-    k = np.array([basis.table_labels[row][1] for row in rows], dtype=np.int64)
+    c = np.zeros(basis.table.shape[0])
+    c[:len(g_node)] = np.where(skeleton.constrained, g_node, 0.0)
+    k = np.flatnonzero(skeleton.on_dirichlet & (basis.bubble_row >= 0))
     j = np.searchsorted(2 * edge + (t > 0.5), 2 * k + 1) - 1   # the last t <= 1/2
     slope = (g[ids[j + 1]] - g[ids[j]]) / (t[j + 1] - t[j])
     g_mid = np.where(t[j] == 0.5, g[ids[j]], slope * (0.5 - t[j]) + g[ids[j]])
-    c[rows] = g_mid - 0.5 * (g_node[ends[k, 0]] + g_node[ends[k, 1]])
+    c[basis.bubble_row[k]] = g_mid - 0.5 * (g_node[ends[k, 0]] + g_node[ends[k, 1]])
     return c
 
 
@@ -333,8 +332,7 @@ def build_trefftz(mesh, system, skeleton, p, cache):
     except NotPositiveDefinite as exc:
         raise RankDeficient("coarse matrix is singular at dof %d (%s)"
                             % (exc.index, basis.labels[exc.index],)) from exc
-    r = max((e.refinement_level for e in skeleton.edges), default=0)
-    return CoarseSpace("trefftz", p, r, R, fact, lift_full)
+    return CoarseSpace("trefftz", p, skeleton.level, R, fact, lift_full)
 
 
 def build_nicolaides(mesh, system, overlap):

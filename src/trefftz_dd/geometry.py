@@ -10,7 +10,9 @@ carry the coarse degrees of freedom.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import GeometryError, GeometryNotSnapped, PartitionMismatch
 
@@ -97,11 +99,6 @@ class PerforatedDomain:
         if sum(p.area for p in self.perforations) >= self.outer.area:
             raise GeometryError("perforations cover the whole domain")
 
-    @classmethod
-    def from_polygons(cls, outer_verts, perforation_verts):
-        return cls(Rect.from_vertices(outer_verts),
-                   tuple(Rect.from_vertices(v) for v in perforation_verts))
-
 
 @dataclass(frozen=True)
 class CoarsePartition:
@@ -144,81 +141,46 @@ def cell_extent(partition, j):
     return max(c.width, c.height)
 
 
-@dataclass(frozen=True)
-class CoarseNode:
-    position: tuple
-    kind: str  # 'cell-corner' | 'perforation-contact' | 'refinement-split'
-    constrained: bool
-
-
-@dataclass(frozen=True)
-class CoarseEdge:
-    endpoints: tuple  # (node id, node id), ordered along the parent interface
-    parent_interface: int
-    refinement_level: int
-    on_dirichlet: bool
-    cells: tuple  # adjacent coarse cell indices (1 on the outer boundary, else 2)
-
-
 @dataclass
 class Skeleton:
-    nodes: list
-    edges: list
-    H: float
+    """The skeleton as arrays, one row per node or per edge.
 
-    def edge_points(self, edge):
-        a, b = edge.endpoints
-        return self.nodes[a].position, self.nodes[b].position
+    Each edge is a piece of one grid line, its ends ordered along the line;
+    `cells` are the coarse cells on its two sides, -1 standing for the one
+    missing on the outer boundary.  The ends of the Dirichlet
+    (outer-boundary) edges are the constrained nodes, and H is the longest
+    edge.  `level` counts the bisections of every edge since
+    `build_skeleton`.
+    """
 
-    def edge_length(self, edge):
-        (xa, ya), (xb, yb) = self.edge_points(edge)
-        return ((xb - xa) ** 2 + (yb - ya) ** 2) ** 0.5
+    points: np.ndarray              # (n, 2) float64 node positions
+    ends: np.ndarray                # (m, 2) int64 node ids of each edge
+    on_dirichlet: np.ndarray        # (m,) bool
+    cells: np.ndarray               # (m, 2) int64, -1 padded
+    level: int = 0
+    constrained: np.ndarray = field(init=False)     # (n,) bool
+    H: float = field(init=False)
 
-
-def _blocked_intervals(perforations, axis, coord, lo, hi):
-    """Closed intervals of the line {axis = coord} covered by perforation closures."""
-    out = []
-    for p in perforations:
-        if axis == "v":
-            if snap(p.x0) <= snap(coord) <= snap(p.x1):
-                a, b = max(p.y0, lo), min(p.y1, hi)
-                if a < b:
-                    out.append((a, b))
-        else:
-            if snap(p.y0) <= snap(coord) <= snap(p.y1):
-                a, b = max(p.x0, lo), min(p.x1, hi)
-                if a < b:
-                    out.append((a, b))
-    out.sort()
-    merged = []
-    for a, b in out:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
+    def __post_init__(self):
+        self.constrained = np.zeros(len(self.points), dtype=bool)
+        self.constrained[self.ends[self.on_dirichlet]] = True
+        a, b = self.points[self.ends.T]
+        self.H = float(np.hypot(*(b - a).T).max())
 
 
-def _open_subsegments(lo, hi, blocked):
-    segs, cur = [], lo
-    for a, b in blocked:
+def _open_pieces(rects, k, coord, lo, hi):
+    """The pieces lo .. hi of the grid line {coordinate k = coord} outside
+    every perforation closure (x0, y0, x1, y1) in `rects`, in order; the
+    closures lie inside the outer rectangle, so they need no clipping."""
+    pieces, cur = [], lo
+    for a, b in sorted((r[1 - k], r[3 - k]) for r in rects
+                       if snap(r[k]) <= snap(coord) <= snap(r[2 + k])):
         if snap(a) > snap(cur):
-            segs.append((cur, a))
+            pieces.append((cur, a))
         cur = max(cur, b)
     if snap(hi) > snap(cur):
-        segs.append((cur, hi))
-    return segs
-
-
-def _constrained_skeleton(nodes, edges):
-    """Skeleton of `nodes` and `edges`, with every endpoint of an
-    on_dirichlet edge marked constrained (in place in `nodes`) and H the
-    longest edge length."""
-    for i in {i for e in edges if e.on_dirichlet for i in e.endpoints}:
-        nodes[i] = replace(nodes[i], constrained=True)
-    skel = Skeleton(nodes, edges, 0.0)
-    skel.H = max(skel.edge_length(e) for e in edges)
-    return skel
+        pieces.append((cur, hi))
+    return pieces
 
 
 def build_skeleton(domain, partition):
@@ -237,96 +199,83 @@ def build_skeleton(domain, partition):
         raise PartitionMismatch("partition outer %r does not tile domain outer %r"
                                 % (partition.outer, domain.outer))
 
-    xl, yl = partition.x_lines(), partition.y_lines()
-    x_set = {snap(x) for x in xl}
-    y_set = {snap(y) for y in yl}
+    points, node_id, ends, on_dirichlet, cells = [], {}, [], [], []
 
-    nodes = []
-    node_id = {}
-
-    def get_node(x, y, kind):
-        key = snap_point((x, y))
-        i = node_id.get(key)
-        if i is None:
-            if key[0] in x_set and key[1] in y_set:
-                kind = "cell-corner"
-            i = len(nodes)
-            nodes.append(CoarseNode((x, y), kind, False))
-            node_id[key] = i
+    def node(p):
+        i = node_id.setdefault(snap_point(p), len(points))
+        if i == len(points):
+            points.append(p)
         return i
 
-    edges = []
-    parent = 0
-
-    def emit(axis, coord, lo, hi, boundary, band):
-        # band: for vertical lines the bordering cell columns, etc.
-        nonlocal parent
-        blocked = _blocked_intervals(domain.perforations, axis, coord, lo, hi)
-        lines = yl if axis == "v" else xl
-        for a, b in _open_subsegments(lo, hi, blocked):
-            cuts = [a] + [c for c in lines if snap(a) < snap(c) < snap(b)] + [b]
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                pa = (coord, c0) if axis == "v" else (c0, coord)
-                pb = (coord, c1) if axis == "v" else (c1, coord)
-                ia = get_node(*pa, "perforation-contact")
-                ib = get_node(*pb, "perforation-contact")
-                mid = 0.5 * (c0 + c1)
-                row = max(i for i, c in enumerate(lines[:-1]) if snap(c) <= snap(mid))
-                if axis == "v":
-                    cells = tuple(row * partition.nx + c for c in band)
-                else:
-                    cells = tuple(c * partition.nx + row for c in band)
-                edges.append(CoarseEdge((ia, ib), parent, 0, boundary, cells))
-            parent += 1
-
-    for i, x in enumerate(xl):
-        band = tuple(c for c in (i - 1, i) if 0 <= c < partition.nx)
-        emit("v", x, partition.outer.y0, partition.outer.y1, i in (0, partition.nx), band)
-    for i, y in enumerate(yl):
-        band = tuple(c for c in (i - 1, i) if 0 <= c < partition.ny)
-        emit("h", y, partition.outer.x0, partition.outer.x1, i in (0, partition.ny), band)
-
-    return _constrained_skeleton(nodes, edges)
+    outer, nx = partition.outer, partition.nx
+    xl, yl = partition.x_lines(), partition.y_lines()
+    rects = [(p.x0, p.y0, p.x1, p.y1) for p in domain.perforations]
+    # per axis k: its grid lines, the lines across them and their span, the
+    # count of cell columns (k = 0) or rows (k = 1), and the cell-index
+    # strides of a column (row) and of a step along a line
+    for k, lines, across, span, n, stride in (
+            (0, xl, yl, (outer.y0, outer.y1), nx, (1, nx)),
+            (1, yl, xl, (outer.x0, outer.x1), partition.ny, (nx, 1))):
+        for i, coord in enumerate(lines):
+            band = [c for c in (i - 1, i) if 0 <= c < n]
+            for a, b in _open_pieces(rects, k, coord, *span):
+                cuts = [a] + [c for c in across if snap(a) < snap(c) < snap(b)] + [b]
+                for c0, c1 in zip(cuts[:-1], cuts[1:]):
+                    ends.append([node((coord, c) if k == 0 else (c, coord)) for c in (c0, c1)])
+                    mid = snap(0.5 * (c0 + c1))
+                    step = max(j for j, c in enumerate(across[:-1]) if snap(c) <= mid)
+                    cells.append(([c * stride[0] + step * stride[1] for c in band] + [-1])[:2])
+                    on_dirichlet.append(i in (0, n))
+    return Skeleton(np.array(points, dtype=float), np.array(ends, dtype=np.int64),
+                    np.array(on_dirichlet), np.array(cells, dtype=np.int64))
 
 
 def refine_edges(skeleton, levels):
-    """Bisect every edge `levels` times (2**levels equal children per edge)."""
+    """Bisect every edge `levels` times (2**levels equal children per edge).
+
+    Edge e's split nodes a + (b - a) k / 2**levels, k = 1 .. 2**levels - 1,
+    follow the nodes of `skeleton` edge after edge, and its children take
+    its place in edge order, chained from a to b.  A split node lies
+    strictly inside its edge, so no two nodes coincide."""
     if levels < 0:
         raise GeometryError("levels must be >= 0, got %d" % levels)
     if levels == 0:
         return skeleton
-    nodes = list(skeleton.nodes)
-    node_id = {snap_point(n.position): i for i, n in enumerate(nodes)}
-
-    def get_node(x, y):
-        key = snap_point((x, y))
-        i = node_id.get(key)
-        if i is None:
-            i = len(nodes)
-            nodes.append(CoarseNode((x, y), "refinement-split", False))
-            node_id[key] = i
-        return i
-
     m = 2 ** levels
-    edges = []
-    for e in skeleton.edges:
-        (xa, ya), (xb, yb) = skeleton.edge_points(e)
-        ids = [e.endpoints[0]]
-        ids += [get_node(xa + (xb - xa) * k / m, ya + (yb - ya) * k / m) for k in range(1, m)]
-        ids.append(e.endpoints[1])
-        for a, b in zip(ids[:-1], ids[1:]):
-            edges.append(CoarseEdge((a, b), e.parent_interface,
-                                    e.refinement_level + levels, e.on_dirichlet, e.cells))
-    return _constrained_skeleton(nodes, edges)
+    a, b = skeleton.points[skeleton.ends.T]
+    split = a[:, None] + (b - a)[:, None] * np.arange(1, m)[:, None] / m
+    ids = len(skeleton.points) + np.arange(split.shape[0] * (m - 1)).reshape(-1, m - 1)
+    chain = np.column_stack([skeleton.ends[:, 0], ids, skeleton.ends[:, 1]])
+    return Skeleton(np.concatenate([skeleton.points, split.reshape(-1, 2)]),
+                    np.stack([chain[:, :-1], chain[:, 1:]], axis=2).reshape(-1, 2),
+                    np.repeat(skeleton.on_dirichlet, m), np.repeat(skeleton.cells, m, axis=0),
+                    skeleton.level + levels)
 
 
 def load_geometry(path):
-    """Read { outer, perforations, grid } JSON into (domain, partition)."""
+    """Read { outer, perforations, grid } JSON into (domain, partition).
+    A file that holds no JSON object, or a field that is missing or not of
+    that shape (perforations may be left out), raises GeometryError naming
+    it."""
     with open(path) as f:
         data = json.load(f)
-    domain = PerforatedDomain.from_polygons(data["outer"], data.get("perforations", []))
-    nx, ny = data["grid"]
-    return domain, CoarsePartition(domain.outer, int(nx), int(ny))
+    if not isinstance(data, dict):
+        raise GeometryError("geometry file %s holds a JSON %s, not an object"
+                            % (path, type(data).__name__))
+    data = {"perforations": [], **data}
+
+    def read(name, parse):
+        try:
+            return parse(data[name])
+        except GeometryError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GeometryError("geometry file %s: missing or malformed %r field"
+                                % (path, name)) from exc
+
+    domain = PerforatedDomain(read("outer", Rect.from_vertices), read(
+        "perforations", lambda polygons: [Rect.from_vertices(v) for v in polygons]))
+    return domain, read("grid", lambda grid: CoarsePartition(domain.outer, *map(int, grid)))
 
 
 def save_geometry(domain, partition, path):

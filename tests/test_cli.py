@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trefftz_dd import experiments
+from trefftz_dd import cli, experiments
 from trefftz_dd.cli import main
 from trefftz_dd.experiments import generate_urban_synthetic
 from trefftz_dd.geometry import CoarsePartition, save_geometry
@@ -111,13 +111,62 @@ def test_config_file_defaults_and_overrides(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     assert main(["lshape", "--config", str(tmp_path / "missing.json")]) == 2
 
-    # a config value bypasses argparse choices, so the driver rejects it
+    # a config value meets the argparse choices a flag meets
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps({"space": "trefft"}))
     out = tmp_path / "typo"
     assert main(["solve", "--grid", "3", "3", "--pitch", PITCH_1_24,
                  "--config", str(typo), "--out", str(out)]) == 2
-    assert "unknown coarse space" in capsys.readouterr().err
+    assert "argument --space: invalid choice: 'trefft'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("solve", {"grid": 8}, "argument --grid: expected 2 arguments"),
+    ("scalability", {"seeds": "five"}, "argument --seeds: invalid int value: 'five'"),
+    ("solve", {"p": 3}, "argument --p: invalid choice: 3"),
+    ("solve", {"pitch": [0.5, 0.25]}, "unrecognized arguments: 0.25"),
+    ("lshape", [["levels", 2]], "error: config must hold a JSON object"),
+], ids=["grid-scalar", "seeds-text", "p-choice", "pitch-list", "top-level-list"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, config, message):
+    # a value of the wrong type, count or choice is invalid input: main
+    # returns 2, with argparse's report of the value, and writes nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_scalar_for_a_list_option(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scalability", lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": 5, "pitch": 1.25}))
+    assert main(["scalability", "--config", str(cfg)]) == 0
+    assert (seen[0].seeds, seen[0].pitch) == ([5], 1.25)
+    # explicit flags still win
+    assert main(["scalability", "--config", str(cfg), "--seeds", "2", "3"]) == 0
+    assert (seen[1].seeds, seen[1].pitch) == ([2, 3], 1.25)
+
+
+OUTER = [[0.0, 0.0], [80.0, 0.0], [80.0, 80.0], [0.0, 80.0]]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"outer": OUTER}, "missing or malformed 'grid' field"),
+    ({"outer": 5, "grid": [2, 2]}, "missing or malformed 'outer' field"),
+    ({"outer": OUTER, "grid": [3]}, "missing or malformed 'grid' field"),
+    ([OUTER, [2, 2]], "holds a JSON list, not an object"),
+], ids=["no-grid", "outer-number", "grid-one-count", "top-level-list"])
+def test_malformed_geometry_file_exits_2(tmp_path, capsys, data, message):
+    geo = tmp_path / "geo.json"
+    geo.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["solve", "--geometry", str(geo), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: geometry file %s" % geo) and message in err
     assert not out.exists()
 
 

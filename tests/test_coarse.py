@@ -23,8 +23,6 @@ from trefftz_dd.errors import (GluingMismatch, NodeOffSkeleton, RankDeficient,
 from trefftz_dd.experiments import generate_urban_synthetic, overlap_layers
 from trefftz_dd.fem import assemble, exact_lshape, solve_fine
 from trefftz_dd.geometry import (
-    CoarseEdge,
-    CoarseNode,
     CoarsePartition,
     PerforatedDomain,
     Rect,
@@ -326,11 +324,8 @@ def test_bubble_skipped_on_single_pitch_edge():
     skel = build_skeleton(domain, part)
     cache = build_cell_cache(mesh, system, skel)
 
-    def endpoints(e):
-        return sorted(tuple(skel.nodes[i].position) for i in e.endpoints)
-
-    pinched = [k for k, e in enumerate(skel.edges)
-               if endpoints(e) == [(12.0, 5.0), (12.0, 6.0)]]
+    pinched = [k for k, ends in enumerate(skel.ends)
+               if sorted(map(tuple, skel.points[ends].tolist())) == [(12.0, 5.0), (12.0, 6.0)]]
     assert len(pinched) == 1
     basis = build_trace_basis(mesh, skel, 2, cache)
     bubble_edges = {k for kind, k in basis.labels if kind == "edge"}
@@ -352,18 +347,20 @@ def test_node_off_skeleton(levels, a_on_mesh, b_on_mesh, missing):
     _, _, mesh, system, skel = lshape_setup(pitch=1.0 / 3.0)
     cache = build_cell_cache(mesh, system, skel)
     ref = refine_edges(skel, levels)  # splits land between pitch-1/3 nodes
-    edge = next(e for e in ref.edges
-                if [_on_mesh(mesh, ref.nodes[i].position) for i in e.endpoints]
-                == [a_on_mesh, b_on_mesh])
-    bad = dataclasses.replace(ref, edges=[edge])
+    on_mesh = np.array([_on_mesh(mesh, xy) for xy in ref.points])
+    k = np.flatnonzero((on_mesh[ref.ends] == [a_on_mesh, b_on_mesh]).all(axis=1))[:1]
+    bad = dataclasses.replace(ref, ends=ref.ends[k], on_dirichlet=ref.on_dirichlet[k],
+                              cells=ref.cells[k])
+    assert len(bad.ends) == 1
     if not (a_on_mesh or b_on_mesh):   # shorter than a pitch: no fine node at all
         assert len(_edge_nodes_reference(mesh.points, bad)[0][0]) == 0
     with pytest.raises(NodeOffSkeleton) as exc:
         build_trace_basis(mesh, bad, 1, cache)
     # the error names the endpoint that misses, a coarse node that no mesh
     # node sits on
-    assert exc.value.node == edge.endpoints[missing]
-    assert exc.value.position == ref.nodes[exc.value.node].position
+    assert exc.value.node == ref.ends[k[0], missing]
+    assert exc.value.position == tuple(ref.points[exc.value.node])
+    assert all(type(c) is float for c in exc.value.position)
     assert np.abs(mesh.points - exc.value.position).max(axis=1).min() > 0.01
     assert str(exc.value) == "coarse node %d at %r is not a node of the fine mesh" % (
         exc.value.node, exc.value.position)
@@ -376,8 +373,7 @@ def _edge_nodes_reference(points, skel):
     ties by ascending node id."""
     snapped = np.array([[snap(x), snap(y)] for x, y in points.tolist()]).reshape(-1, 2)
     out = []
-    for e in skel.edges:
-        pa, pb = skel.edge_points(e)
+    for pa, pb in skel.points[skel.ends].tolist():
         across = 0 if snap(pa[0]) == snap(pb[0]) else 1
         start, end = pa[1 - across], pb[1 - across]
         lo, hi = min(start, end), max(start, end)
@@ -406,17 +402,16 @@ def _free_rows_reference(mesh, skel, cache, p):
     strictly inside it."""
     edge_nodes = _edge_nodes_reference(mesh.points, skel)
     rows = []
-    for i, node in enumerate(skel.nodes):
-        if not node.constrained:
-            row = {}
-            for (ids, t), e in zip(edge_nodes, skel.edges):
-                if i in e.endpoints:
-                    tt = t if e.endpoints[0] == i else 1.0 - t
-                    row.update(zip(cache.slot_of_node[ids].tolist(), (1.0 - tt).tolist()))
-            rows.append(row)
-    for (ids, t), e in zip(edge_nodes, skel.edges):
+    for i in np.flatnonzero(~skel.constrained).tolist():
+        row = {}
+        for (ids, t), (a, b) in zip(edge_nodes, skel.ends.tolist()):
+            if i in (a, b):
+                tt = t if a == i else 1.0 - t
+                row.update(zip(cache.slot_of_node[ids].tolist(), (1.0 - tt).tolist()))
+        rows.append(row)
+    for (ids, t), dirichlet in zip(edge_nodes, skel.on_dirichlet.tolist()):
         vals = 4.0 * t * (1.0 - t)
-        if p == 2 and not e.on_dirichlet and np.any(vals > 0.0):
+        if p == 2 and not dirichlet and np.any(vals > 0.0):
             rows.append(dict(zip(cache.slot_of_node[ids].tolist(), vals.tolist())))
     ri = [k for k, row in enumerate(rows) for _ in row]
     rj = [j for row in rows for j in row]
@@ -429,18 +424,17 @@ def _lift_trace_reference(mesh, system, skel, p, cache):
     of g at the constrained coarse nodes plus, for p = 2, on each Dirichlet
     edge the bubble that matches g at the edge midpoint."""
     g = system.expand(np.zeros(system.dofmap.n_free))
-    gc = np.zeros(len(skel.nodes))
-    for i, node in enumerate(skel.nodes):
-        if node.constrained:
-            at = np.abs(mesh.points - node.position).max(axis=1) <= 1e-9
-            gc[i] = g[np.flatnonzero(at)[0]]
+    gc = np.zeros(len(skel.points))
+    for i in np.flatnonzero(skel.constrained).tolist():
+        at = np.abs(mesh.points - skel.points[i]).max(axis=1) <= 1e-9
+        gc[i] = g[np.flatnonzero(at)[0]]
     trace = np.zeros(len(cache.skeleton_fine))
-    for e, (ids, t) in zip(skel.edges, _edge_nodes_reference(mesh.points, skel)):
-        a, b = e.endpoints
-        if gc[a] == 0.0 and gc[b] == 0.0 and not e.on_dirichlet:
+    for (a, b), dirichlet, (ids, t) in zip(skel.ends.tolist(), skel.on_dirichlet.tolist(),
+                                           _edge_nodes_reference(mesh.points, skel)):
+        if gc[a] == 0.0 and gc[b] == 0.0 and not dirichlet:
             continue
         vals = gc[a] * (1.0 - t) + gc[b] * t
-        if p == 2 and e.on_dirichlet:
+        if p == 2 and dirichlet:
             g_mid = float(np.interp(0.5, t, g[ids]))
             vals = vals + (g_mid - 0.5 * (gc[a] + gc[b])) * 4.0 * t * (1.0 - t)
         trace[cache.slot_of_node[ids]] = vals
@@ -512,8 +506,12 @@ def _cell_solvers(mesh, system, cache):
 def _edge_support(skel, labels):
     """Each basis row's cells, read off the skeleton edges: the cells of the
     edges incident to the coarse node of a hat, or of a bubble's own edge."""
-    return [sorted({c for e in skel.edges if i in e.endpoints for c in e.cells})
-            if kind == "node" else sorted(skel.edges[i].cells) for kind, i in labels]
+    cells = [{c for c in pair if c >= 0} for pair in skel.cells.tolist()]
+    incident = [set() for _ in skel.points]
+    for (a, b), sides in zip(skel.ends.tolist(), cells):
+        incident[a] |= sides
+        incident[b] |= sides
+    return [sorted(incident[i] if kind == "node" else cells[i]) for kind, i in labels]
 
 
 def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
@@ -675,11 +673,10 @@ def test_edge_nodes_merge_values_that_snap_alike():
     xs = np.array([0.1 + 0.2, 0.3, 0.3, 0.1 + 0.2, 0.7])
     points = np.column_stack([xs, [2.0, 1.0, 2.0, 0.0, 1.0]])
     assert len(np.unique(xs)) == 3
-    nodes = [CoarseNode(xy, "cell-corner", False)
-             for xy in ((0.3, 0.0), (0.3, 2.0), (0.3, 1.0), (0.7, 1.0))]
     # up the line x = 0.3, down it again (b -> a, decreasing y), and along y = 1
-    edges = [CoarseEdge(ends, 0, 0, False, (0,)) for ends in ((0, 1), (1, 0), (2, 3))]
-    skel = Skeleton(nodes, edges, 2.0)
+    skel = Skeleton(np.array([(0.3, 0.0), (0.3, 2.0), (0.3, 1.0), (0.7, 1.0)]),
+                    np.array([(0, 1), (1, 0), (2, 3)]), np.zeros(3, dtype=bool),
+                    np.array([(0, -1)] * 3))
     _assert_edge_nodes_match(points, skel)
     edge, ids, t = _edge_nodes(skel, _axis_sort(points))
     # equal y (ids 0 and 2) is a tie in t, kept in ascending id either way

@@ -7,7 +7,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
-from compare_outputs import compare_csv, compare_dirs, rel_change, verdicts  # noqa: E402
+from compare_outputs import (THREADS, child_env, compare_csv, compare_dirs,  # noqa: E402
+                             rel_change, verdicts)
 
 
 def test_rel_change_is_scaled_by_the_larger_magnitude():
@@ -75,3 +76,13 @@ def test_verdict_lines_mask_runtimes():
            "..\n3 passed in 40.1s\n")
     assert verdicts(log) == ["[criterion 04] PASS — sum 1e-16",
                              "[criterion 05] PASS — slope 2.56; runtime *s < 300s"]
+
+
+def test_child_runs_use_their_tree_and_one_thread(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "8")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    env = child_env(os.path.join("trees", "abc"))
+    assert env["PYTHONPATH"] == os.path.join("trees", "abc", "src")
+    assert {var: env[var] for var in THREADS} == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert env["PATH"] == os.environ["PATH"]   # the rest is inherited

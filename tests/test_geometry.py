@@ -4,11 +4,12 @@ Reference values here (edge counts, free-node sets, clipped lengths) were
 derived by hand from the definitions and are frozen; the sampling oracle
 rebuilds the clipped grid lines pointwise and must agree with the skeleton.
 """
-import math
-
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from trefftz_dd.errors import GeometryError, GeometryNotSnapped, PartitionMismatch
+from trefftz_dd.experiments import generate_urban_synthetic
 from trefftz_dd.geometry import (
     CoarsePartition,
     PerforatedDomain,
@@ -18,6 +19,8 @@ from trefftz_dd.geometry import (
     load_geometry,
     refine_edges,
     save_geometry,
+    snap,
+    snap_point,
 )
 
 
@@ -72,25 +75,24 @@ def test_unit_square_2x2_skeleton():
     outer = Rect(0.0, 0.0, 1.0, 1.0)
     domain = PerforatedDomain(outer, ())
     skel = build_skeleton(domain, CoarsePartition(outer, 2, 2))
-    interior = [e for e in skel.edges if not e.on_dirichlet]
-    boundary = [e for e in skel.edges if e.on_dirichlet]
-    assert len(interior) == 4 and len(boundary) == 8
+    interior = ~skel.on_dirichlet
+    assert interior.sum() == 4 and skel.on_dirichlet.sum() == 8
     assert skel.H == pytest.approx(0.5)
-    assert len(skel.nodes) == 9
-    free = [n for n in skel.nodes if not n.constrained]
+    assert len(skel.points) == 9
+    free = skel.points[~skel.constrained]
     assert len(free) == 1
-    assert free[0].position == pytest.approx((0.5, 0.5))
+    assert tuple(free[0]) == pytest.approx((0.5, 0.5))
     # every interior edge borders exactly two cells, boundary edges one
-    assert all(len(e.cells) == 2 for e in interior)
-    assert all(len(e.cells) == 1 for e in boundary)
+    sides = (skel.cells >= 0).sum(axis=1)
+    assert (sides[interior] == 2).all() and (sides[~interior] == 1).all()
+    assert (skel.cells[~interior, 1] == -1).all()
 
 
 def test_lshape_3x3_skeleton():
     domain, part = lshape()
     skel = build_skeleton(domain, part)
-    interior = [e for e in skel.edges if not e.on_dirichlet]
-    assert len(interior) == 10
-    free = sorted(n.position for n in skel.nodes if not n.constrained)
+    assert (~skel.on_dirichlet).sum() == 10
+    free = sorted(map(tuple, skel.points[~skel.constrained].tolist()))
     third = 1.0 / 3.0
     expect = sorted([(-third, -third), (-third, third), (third, -third),
                      (third, 0.0), (0.0, third)])
@@ -98,23 +100,28 @@ def test_lshape_3x3_skeleton():
     for got, want in zip(free, expect):
         assert got == pytest.approx(want, abs=1e-12)
     # the re-entrant contact nodes are free, the outer-boundary contacts are not
-    by_pos = {tuple(round(c, 9) for c in n.position): n for n in skel.nodes}
-    assert by_pos[(round(third, 9), 0.0)].kind == "perforation-contact"
-    assert not by_pos[(round(third, 9), 0.0)].constrained
-    assert by_pos[(1.0, 0.0)].constrained
-    assert by_pos[(0.0, 1.0)].constrained
+    by_pos = {tuple(round(c, 9) for c in p): i for i, p in enumerate(skel.points.tolist())}
+    assert not skel.constrained[by_pos[(round(third, 9), 0.0)]]
+    assert skel.constrained[by_pos[(1.0, 0.0)]]
+    assert skel.constrained[by_pos[(0.0, 1.0)]]
 
 
 def test_cell_adjacency_lshape():
     domain, part = lshape()
     skel = build_skeleton(domain, part)
     # cell 8 (upper-right) is fully perforated: no edge may reference it
-    assert all(8 not in e.cells for e in skel.edges)
+    assert not (skel.cells == 8).any()
     # the edge x=1/3, y in (-1,-1/3) separates cells 1 and 2
-    for e in skel.edges:
-        (xa, ya), (xb, yb) = skel.edge_points(e)
-        if abs(xa - 1 / 3) < 1e-12 and abs(xb - 1 / 3) < 1e-12 and max(ya, yb) <= -1 / 3 + 1e-12:
-            assert sorted(e.cells) == [1, 2]
+    a, b = skel.points[skel.ends.T]
+    on = ((np.abs(a[:, 0] - 1 / 3) < 1e-12) & (np.abs(b[:, 0] - 1 / 3) < 1e-12)
+          & (np.maximum(a[:, 1], b[:, 1]) <= -1 / 3 + 1e-12))
+    assert on.sum() == 1
+    assert sorted(skel.cells[on][0]) == [1, 2]
+
+
+def _lengths(skel):
+    a, b = skel.points[skel.ends.T]
+    return np.hypot(*(b - a).T)
 
 
 def sampled_open_length(domain, axis, coord, lo, hi, n=20001):
@@ -138,50 +145,66 @@ def test_skeleton_lengths_match_sampling_oracle():
     part = CoarsePartition(outer, 3, 3)
     skel = build_skeleton(domain, part)
 
-    for axis, lines in (("v", part.x_lines()), ("h", part.y_lines())):
+    a, b = skel.points[skel.ends.T]
+    for axis, lines in ((0, part.x_lines()), (1, part.y_lines())):
         for coord in lines:
-            have = sum(
-                skel.edge_length(e) for e in skel.edges
-                if all(abs((p[0] if axis == "v" else p[1]) - coord) < 1e-12
-                       for p in skel.edge_points(e))
-            )
-            want = sampled_open_length(domain, axis, coord, 0.0, 6.0)
-            assert have == pytest.approx(want, abs=2 * 6.0 / 20001)
+            on = (np.abs(a[:, axis] - coord) < 1e-12) & (np.abs(b[:, axis] - coord) < 1e-12)
+            want = sampled_open_length(domain, "vh"[axis], coord, 0.0, 6.0)
+            assert _lengths(skel)[on].sum() == pytest.approx(want, abs=2 * 6.0 / 20001)
 
 
 def test_full_cell_perforation():
     outer = Rect(0.0, 0.0, 1.0, 1.0)
     domain = PerforatedDomain(outer, (Rect(1 / 3, 1 / 3, 2 / 3, 2 / 3),))
-    skel = build_skeleton(domain, CoarsePartition(outer, 3, 3))
-    interior = [e for e in skel.edges if not e.on_dirichlet]
-    assert len(interior) == 8
-    assert all(4 not in e.cells for e in skel.edges)
+    part = CoarsePartition(outer, 3, 3)
+    skel = build_skeleton(domain, part)
+    assert (~skel.on_dirichlet).sum() == 8
+    assert not (skel.cells == 4).any()
     # blocked interval endpoints coincide with cell corners: no extra nodes
-    assert all(n.kind == "cell-corner" for n in skel.nodes)
+    corners = {(snap(x), snap(y)) for x in part.x_lines() for y in part.y_lines()}
+    assert {snap_point(p) for p in skel.points.tolist()} <= corners
 
 
 def test_refine_edges():
     domain, part = lshape()
     skel = build_skeleton(domain, part)
     ref = refine_edges(skel, 2)
-    assert len(ref.edges) == 4 * len(skel.edges)
-    assert (sum(ref.edge_length(e) for e in ref.edges)
-            == pytest.approx(sum(skel.edge_length(e) for e in skel.edges), rel=1e-12))
+    assert len(ref.ends) == 4 * len(skel.ends)
+    assert _lengths(ref).sum() == pytest.approx(_lengths(skel).sum(), rel=1e-12)
     assert ref.H == pytest.approx(skel.H / 4)
     # original nodes keep ids, split nodes are appended
-    for i, n in enumerate(skel.nodes):
-        assert ref.nodes[i].position == n.position
-    assert all(n.kind == "refinement-split" for n in ref.nodes[len(skel.nodes):])
-    # children inherit parent interface and level
-    assert all(e.refinement_level == 2 for e in ref.edges)
-    parents = {e.parent_interface for e in skel.edges}
-    assert {e.parent_interface for e in ref.edges} == parents
+    assert np.array_equal(ref.points[:len(skel.points)], skel.points)
+    # children inherit their parent's side and cells, and count the level
+    assert (skel.level, ref.level, refine_edges(ref, 1).level) == (0, 2, 3)
+    assert np.array_equal(ref.on_dirichlet, np.repeat(skel.on_dirichlet, 4))
+    assert np.array_equal(ref.cells, np.repeat(skel.cells, 4, axis=0))
     # split nodes interior to a Dirichlet parent edge are constrained
-    for e in ref.edges:
-        if e.on_dirichlet:
-            assert all(ref.nodes[i].constrained for i in e.endpoints)
-    assert sum(not n.constrained for n in ref.nodes) == 5 + 10 * (4 - 1)
+    assert ref.constrained[ref.ends[ref.on_dirichlet]].all()
+    assert (~ref.constrained).sum() == 5 + 10 * (4 - 1)
     assert refine_edges(skel, 0) is skel
+    with pytest.raises(GeometryError):
+        refine_edges(skel, -1)
+
+
+@given(seed=st.integers(0, 2 ** 16), nx=st.sampled_from((1, 2, 4, 8)),
+       ny=st.sampled_from((1, 2, 4, 8)), walls=st.sampled_from((0, 1)),
+       levels=st.integers(0, 3))
+def test_refined_skeleton_invariants_on_urban(seed, nx, ny, walls, levels):
+    domain = generate_urban_synthetic(seed, extent=32.0, pitch=1.0, n_buildings=3,
+                                      n_walls=walls)
+    skel = build_skeleton(domain, CoarsePartition(domain.outer, nx, ny))
+    ref = refine_edges(skel, levels)
+    n, m, k = len(skel.points), len(skel.ends), 2 ** levels
+    assert len(ref.points) == n + m * (k - 1) and len(ref.ends) == m * k
+    # no two nodes snap to one point, so refinement needs no dedupe
+    assert len({snap_point(p) for p in ref.points.tolist()}) == len(ref.points)
+    assert np.array_equal(np.flatnonzero(ref.constrained),
+                          np.unique(ref.ends[ref.on_dirichlet]))
+    # each parent edge's children chain from its a to its b
+    chains = ref.ends.reshape(m, k, 2)
+    assert np.array_equal(chains[:, 0, 0], skel.ends[:, 0])
+    assert np.array_equal(chains[:, 1:, 0], chains[:, :-1, 1])
+    assert np.array_equal(chains[:, -1, 1], skel.ends[:, 1])
 
 
 def test_partition_mismatch():

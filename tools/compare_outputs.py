@@ -14,7 +14,8 @@ the maximum relative change |c - p| / max(|p|, |c|) over the rows (0 where
 the two cells read alike); a column whose cells differ but are not both
 finite numbers is listed under `text_changed`.  The verdict lines are
 compared with their runtimes masked.  Each run also records its exit
-status and peak RSS.
+status and peak RSS; every run has one BLAS and OpenMP thread (THREADS,
+also in the record).
 """
 import argparse
 import csv
@@ -43,16 +44,24 @@ RUNS = {
 }
 ACCEPTANCE = ["-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
               "tests/test_acceptance.py"]
+#: the thread counts of every child run, as `benchmarks/run.py` sets them
+THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                "MKL_NUM_THREADS")}
 VERDICT = re.compile(r"\[criterion \d+\].*")
 RUNTIME = re.compile(r"runtime [0-9.]+s")
 
 
+def child_env(tree):
+    """The environment of a run in `tree`: its sources first on the path
+    and THREADS."""
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **THREADS)
+
+
 def run(args, tree, log):
-    """Run `python args` in `tree` with its sources first on the path, output
-    to `log`; return (exit status, peak RSS in MB)."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    """Run `python args` in `tree` in `child_env(tree)`, output to `log`;
+    return (exit status, peak RSS in MB)."""
     with open(log, "w") as out:
-        proc = subprocess.Popen([sys.executable, *args], cwd=tree, env=env,
+        proc = subprocess.Popen([sys.executable, *args], cwd=tree, env=child_env(tree),
                                 stdout=out, stderr=subprocess.STDOUT)
         _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -133,7 +142,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sides = dict(zip(("parent", "change"), (export(args.parent), export(args.change))))
-    doc = {"commits": {side: sha for side, (sha, _) in sides.items()},
+    doc = {"commits": {side: sha for side, (sha, _) in sides.items()}, "threads": THREADS,
            "runs": {name: {"args": cli, "exit": {}, "peak_rss_mb": {}}
                     for name, cli in RUNS.items()},
            "acceptance": {"exit": {}, "peak_rss_mb": {}}}
