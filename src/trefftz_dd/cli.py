@@ -171,6 +171,7 @@ def cmd_scalability(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subs = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
@@ -185,22 +186,21 @@ def main(argv=None):
             return 2
         flag = {action.dest: action.option_strings[0]
                 for action in subs[args.command]._actions if action.dest != "help"}
-        unknown = set(overrides) - set(flag)
-        if unknown:
-            print("error: unknown config keys: %s" % ", ".join(sorted(unknown)),
-                  file=sys.stderr)
-            return 2
-        # argparse checks each entry as the option tokens it stands for;
-        # the checked values become defaults, so explicit flags still win
+        for problem, keys in (
+                ("unknown config keys", set(overrides) - set(flag)),
+                ("config keys set to null", {k for k, v in overrides.items() if v is None})):
+            if keys:
+                print("error: %s: %s" % (problem, ", ".join(sorted(keys))), file=sys.stderr)
+                return 2
+        # each entry becomes its option tokens, parsed in one pass ahead of the
+        # explicit ones: argparse checks them as flags, and a later flag wins
         tokens = [token for key, value in overrides.items() for token in (
             [flag[key], *map(str, value)] if isinstance(value, list)
             else ["%s=%s" % (flag[key], value)])]
         try:
-            checked = subs[args.command].parse_args(tokens)
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         except SystemExit:      # argparse has reported the bad value
             return 2
-        subs[args.command].set_defaults(**{key: getattr(checked, key) for key in overrides})
-        args = parser.parse_args(argv)
     try:
         if args.command == "lshape":
             return cmd_lshape(args)

@@ -299,12 +299,9 @@ def _run_method(method, ctx, monitor, tol, max_iters):
     A diverged fixed point keeps its partial report with the note
     "diverged"; any other numerical failure gives no report and its message.
     """
+    solve = hybrid_iterate if method == "hybrid" else solve_pgmres
     try:
-        if method == "hybrid":
-            _, report = hybrid_iterate(ctx, monitor, tol=tol, max_iters=max_iters)
-        else:
-            _, report = solve_pgmres(ctx, monitor, error_tol=tol,
-                                     max_iters=max_iters)
+        _, report = solve(ctx, monitor, tol, max_iters)
     except Divergence as exc:
         return exc.report, "diverged"
     except ArithmeticError as exc:

@@ -114,102 +114,82 @@ class IterationReport:
     """Convergence history of one solver run.
 
     Rows hold (iteration, relative residual, algebraic L2/H1 error, full
-    L2/H1 error); error columns are nan when no monitor / exact solution
-    was available.  `stop` says why the run ended: "tol" (preconditioned
-    residual tolerance), "error_tol" (algebraic L2 error tolerance),
-    "plateau", "breakdown", "stagnation", "max_iters" or "divergence".  It
-    is not written to the history CSVs.
+    L2/H1 error); the full-error columns are nan when the monitor has no
+    exact solution.  `stop` says why the run ended: "error_tol" (a row's
+    algebraic L2 error reached the tolerance, row 0 included),
+    "max_iters", "divergence" (hybrid), or GMRES's "breakdown" or
+    "stagnation".  It is not written to the history CSVs.
     """
     method: str
     rows: list = field(default_factory=list)
-    converged: bool = False
     iterations: int = 0
     stop: str | None = None
+
+    @property
+    def converged(self):
+        return self.stop == "error_tol"
 
     def column(self, name):
         i = REPORT_COLUMNS.split(",").index(name)
         return np.array([row[i] for row in self.rows])
 
 
-def hybrid_iterate(ctx, monitor, u0=None, tol=None, max_iters=200):
+def hybrid_iterate(ctx, monitor, tol, max_iters=200):
     """Two-level fixed point: a RAS sweep followed by a coarse correction.
 
     Each iteration performs u <- u + M_RAS^{-1}(f - A u) and then
-    u <- u + M_H^{-1}(f - A u), starting from the coarse approximation
-    unless u0 (a full nodal vector) is given.  Stops when the algebraic
-    L2 error drops below tol, or — when tol is None — once it improves by
-    less than 1% over five iterations.  Raises Divergence (carrying the
-    report collected so far) if the error grows a thousandfold past its
-    running minimum.
+    u <- u + M_H^{-1}(f - A u), starting from the coarse approximation.
+    Stops at the first row, row 0 included, whose algebraic L2 error is
+    <= tol.  Raises Divergence (carrying the report collected so far) if
+    the error grows a thousandfold past its running minimum.
     """
     system = ctx.system
     if ctx.coarse is None:
         raise ValueError("hybrid iteration needs a coarse space")
     A, f = system.A, system.f
-    if u0 is None:
-        u0 = coarse_approximation(system, ctx.coarse)
-    u = system.restrict(np.asarray(u0, dtype=float))
+    u = system.restrict(coarse_approximation(system, ctx.coarse))
     f_norm = np.linalg.norm(f) or 1.0
-    report = IterationReport("hybrid")
-
-    def push(k):
-        """Record iterate k; return its residual f - A u and algebraic L2 error."""
+    report = IterationReport("hybrid", stop="max_iters")
+    best = np.inf
+    for n in range(max_iters + 1):
+        if n:
+            u += apply_ras(ctx, res)
+            u += ctx.coarse.apply(f - A @ u)
         res = f - A @ u
         errs = monitor.record(system.expand(u))
-        report.rows.append((k, np.linalg.norm(res) / f_norm) + errs)
-        return res, errs[0]
-
-    res, best = push(0)
-    n = 0
-    report.stop = "max_iters"
-    for n in range(1, max_iters + 1):
-        u += apply_ras(ctx, res)
-        u += ctx.coarse.apply(f - A @ u)
-        res, alg = push(n)
-        best = min(best, alg)
-        if alg > 1e3 * best and alg > 1e-12:
-            report.iterations, report.stop = n, "divergence"
-            raise Divergence(report)
-        if tol is not None:
-            if alg <= tol:
-                report.converged, report.stop = True, "error_tol"
-                break
-        elif n >= 5 and alg >= 0.99 * report.rows[n - 5][2]:
-            report.converged, report.stop = True, "plateau"
+        report.rows.append((n, np.linalg.norm(res) / f_norm) + errs)
+        report.iterations, best = n, min(best, errs[0])
+        if errs[0] <= tol:
+            report.stop = "error_tol"
             break
-    report.iterations = n
+        if errs[0] > 1e3 * best and errs[0] > 1e-12:
+            report.stop = "divergence"
+            raise Divergence(report)
     return system.expand(u), report
 
 
-def solve_pgmres(ctx, monitor=None, rel_tol=1e-8, error_tol=None,
-                 max_iters=400):
+def solve_pgmres(ctx, monitor, error_tol, max_iters=400):
     """Preconditioned GMRES with the RAS (or two-level) preconditioner.
 
-    Solves M^{-1} A u = M^{-1} f where M^{-1} is apply_two_level when the
-    context carries a coarse space and apply_ras otherwise.  By default the
-    stopping test is the relative preconditioned residual rel_tol; passing
-    error_tol (which requires a monitor) stops instead when the algebraic
-    L2 error against the fine solution drops below it, as in scalability
-    iteration counts.
+    Solves M^{-1} A u = M^{-1} f from u = 0, where M^{-1} is
+    apply_two_level when the context carries a coarse space and apply_ras
+    otherwise.  Stops at the first row, row 0 included, whose algebraic L2
+    error against the fine solution is <= error_tol.
     """
     system = ctx.system
-    if error_tol is not None and monitor is None:
-        raise ValueError("error_tol stopping needs an ErrorMonitor")
     f = system.f
     apply_m = apply_two_level if ctx.coarse is not None else apply_ras
-    report = IterationReport("gmres")
+    report = IterationReport("gmres", stop="error_tol")
 
     def callback(k, x_k, res, b_norm):
-        errs = (np.nan,) * 4 if monitor is None else monitor.record(system.expand(x_k))
+        errs = monitor.record(system.expand(x_k))
         report.rows.append((k, res / b_norm) + errs)
-        return error_tol is not None and errs[0] <= error_tol
+        return errs[0] <= error_tol
 
-    callback(0, np.zeros_like(f), 1.0, 1.0)
-    x, report.iterations, stop = gmres(
-        lambda v: system.A @ v, lambda v: apply_m(ctx, v), f,
-        rel_tol=0.0 if error_tol is not None else rel_tol, max_iters=max_iters,
-        callback=callback)
-    report.stop = "error_tol" if stop == "callback" else stop
-    report.converged = (stop == "callback" if error_tol is not None
-                        else stop in ("tol", "breakdown"))
+    x = np.zeros_like(f)
+    if not callback(0, x, 1.0, 1.0):
+        x, report.iterations, stop = gmres(
+            lambda v: system.A @ v, lambda v: apply_m(ctx, v), f, rel_tol=0.0,
+            max_iters=max_iters, callback=callback)
+        report.stop = "error_tol" if stop == "callback" else stop
     return system.expand(x), report

@@ -151,6 +151,25 @@ def test_config_scalar_for_a_list_option(tmp_path, monkeypatch):
     assert (seen[1].seeds, seen[1].pitch) == ([2, 3], 1.25)
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve", "--geometry", "city.json"], {"urban": 3},
+     "argument --geometry: not allowed with argument --urban"),
+    (["lshape"], {"out": None}, "error: config keys set to null: out"),
+], ids=["urban-with-geometry", "null-out"])
+def test_config_entries_meet_the_explicit_flags(tmp_path, capsys, monkeypatch,
+                                                argv, config, message):
+    # a config entry is parsed with the explicit flags, so it meets the
+    # mutually exclusive group, and a null is no value, not the text "None"
+    ran = []
+    for name in ("cmd_lshape", "cmd_solve"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+
+
 OUTER = [[0.0, 0.0], [80.0, 0.0], [80.0, 80.0], [0.0, 80.0]]
 
 

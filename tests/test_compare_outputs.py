@@ -7,8 +7,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
-from compare_outputs import (THREADS, child_env, compare_csv, compare_dirs,  # noqa: E402
-                             rel_change, verdicts)
+from compare_outputs import (THREADS, all_identical, child_env, compare_csv,  # noqa: E402
+                             compare_dirs, rel_change, verdicts)
 
 
 def test_rel_change_is_scaled_by_the_larger_magnitude():
@@ -86,3 +86,17 @@ def test_child_runs_use_their_tree_and_one_thread(monkeypatch):
     assert {var: env[var] for var in THREADS} == {
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert env["PATH"] == os.environ["PATH"]   # the rest is inherited
+
+
+def test_all_identical_needs_equal_exit_statuses():
+    same = {"parent": 0, "change": 0}
+    doc = {"runs": {"solve": {"exit": dict(same)}},
+           "acceptance": {"exit": dict(same), "verdicts_equal": True},
+           "files": {"solve/history.csv": {"status": "byte-identical"}}}
+    assert all_identical(doc)
+    # the same bytes and verdicts, but a run that failed on one side only
+    doc["runs"]["solve"]["exit"]["change"] = 3
+    assert not all_identical(doc)
+    doc["runs"]["solve"]["exit"]["change"] = 0
+    doc["acceptance"]["exit"]["parent"] = 1
+    assert not all_identical(doc)

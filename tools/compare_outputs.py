@@ -15,7 +15,9 @@ the two cells read alike); a column whose cells differ but are not both
 finite numbers is listed under `text_changed`.  The verdict lines are
 compared with their runtimes masked.  Each run also records its exit
 status and peak RSS; every run has one BLAS and OpenMP thread (THREADS,
-also in the record).
+also in the record).  `all_identical` holds when every file is
+byte-identical, the verdict lines are equal and every run, the acceptance
+suite included, exits with the same status on both sides.
 """
 import argparse
 import csv
@@ -36,6 +38,8 @@ RUNS = {
     "lshape_edge_p2": ["lshape", "--strategy", "edge", "--p", "2"],
     "lshape_mesh_p1": ["lshape", "--strategy", "mesh", "--p", "1"],
     "solve_lshape": ["solve"],
+    # stopped by --max-iters: exit 3, with its history and summary written
+    "solve_lshape_capped": ["solve", "--method", "gmres", "--max-iters", "2"],
     "solve_urban": ["solve", "--urban", "1", "--grid", "8", "8", "--pitch", "2.5",
                     "--method", "both", "--reference-levels", "1"],
     "solve_urban_nicolaides": ["solve", "--urban", "1", "--grid", "8", "8",
@@ -134,6 +138,15 @@ def compare_dirs(parent, change):
     return table
 
 
+def all_identical(doc):
+    """Every file byte-identical, the verdict lines equal and every run's
+    exit status equal on both sides."""
+    runs = [*doc["runs"].values(), doc["acceptance"]]
+    return (doc["acceptance"]["verdicts_equal"]
+            and all(f["status"] == "byte-identical" for f in doc["files"].values())
+            and all(run["exit"]["parent"] == run["exit"]["change"] for run in runs))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
@@ -171,15 +184,15 @@ def main(argv=None):
         doc["acceptance"]["parent_verdicts"] = lines["parent"]
     doc["files"] = compare_dirs(*(os.path.join(BUILD, "outputs", side, "csv")
                                   for side in sides))
-    doc["all_identical"] = (doc["acceptance"]["verdicts_equal"] and all(
-        f["status"] == "byte-identical" for f in doc["files"].values()))
+    doc["all_identical"] = all_identical(doc)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    print("%d files, %d byte-identical; verdict lines %s" % (
+    print("%d files, %d byte-identical; verdict lines %s; all identical: %s" % (
         len(doc["files"]), sum(f["status"] == "byte-identical"
                                for f in doc["files"].values()),
-        "equal" if doc["acceptance"]["verdicts_equal"] else "differ"))
+        "equal" if doc["acceptance"]["verdicts_equal"] else "differ",
+        doc["all_identical"]))
     return 0
 
 
