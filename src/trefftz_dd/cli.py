@@ -54,7 +54,8 @@ def build_parser():
                      help="synthetic urban geometry from this seed")
     so.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"),
                     default=None, help="coarse cells per direction")
-    so.add_argument("--pitch", type=float, default=1.0 / 80.0)
+    so.add_argument("--pitch", type=float,
+                    help="fine pitch (default 2.5 with --urban, else 1/80)")
     so.add_argument("--extent", type=float, default=640.0,
                     help="urban domain side length")
     so.add_argument("--buildings", type=int, default=24)
@@ -122,10 +123,11 @@ def cmd_lshape(args):
 def cmd_solve(args):
     methods = ("hybrid", "gmres") if args.method == "both" else (args.method,)
     nx, ny = args.grid if args.grid else (None, None)
+    urban = args.urban is not None
     config = ExperimentConfig(
-        geometry="urban" if args.urban is not None else args.geometry,
-        seed=args.urban if args.urban is not None else 1,
-        nx=nx, ny=ny, pitch=args.pitch, extent=args.extent,
+        geometry="urban" if urban else args.geometry, seed=args.urban if urban else 1,
+        nx=nx, ny=ny, extent=args.extent,
+        pitch=(2.5 if urban else 1.0 / 80.0) if args.pitch is None else args.pitch,
         n_buildings=args.buildings, n_walls=args.walls,
         p=(args.p,), edge_ref=(args.edge_ref,), overlap=(args.overlap,),
         method=methods, space=args.space, tol=args.tol,

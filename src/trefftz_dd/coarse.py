@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, vstack
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -108,9 +108,9 @@ class CellCache:
     factorization of it, in pieces of whole cells, solves every cell at
     once: the discrete-harmonic extension of skeleton values g is
     -A_II^{-1} A_IΓ g (substructuring, as in Smith, Bjørstad & Gropp,
-    Domain Decomposition, 1996).  Depends only on the mesh and the
-    skeleton's geometry, so one cache serves every trace degree p and every
-    edge-refinement level r.
+    Domain Decomposition, 1996).  A solve's rows follow `interior`, which
+    `_extend_rows` reads back node by node.  Depends only on the mesh and
+    the skeleton, so one cache serves every trace degree p and level r.
     """
 
     skeleton_fine: np.ndarray       # sorted mesh node ids on the skeleton
@@ -245,41 +245,57 @@ class CoarseSpace:
         return self.R.T @ self.fact.solve(self.R @ r_free)
 
 
+#: entries of the solve's result (interior node x column) read back at a time
+READ_BLOCK = 1 << 14
+
+
 def _extend_rows(system, cache, trace_rows):
     """Glue the harmonic extensions of the trace rows into basis functions.
 
-    Returns a sparse matrix of basis functions on free dofs, one per row.
-    Skeleton values are taken once from trace_rows.  Interior values come
-    from one multi-RHS solve of A_II: row s is extended into the interior of
-    every cell where -A_IΓ T' has an entry in its column, that is every cell
-    whose boundary its trace touches.  The (cell, row) pairs are the sorted
-    distinct keys cell * k + row of those entries, and each pair takes the
-    column given by the row's rank among its cell's rows, so the cells share
-    columns and the solve has as many as the busiest cell has rows.  Each
-    interior node belongs to one cell, so the pieces cannot disagree.
+    Returns R, one basis function per row on the free dofs.  One multi-RHS
+    solve of A_II extends row s into every cell where -A_IΓ T' has an entry
+    in its column, that is every cell whose boundary its trace touches.  The
+    (cell, row) pairs are the sorted keys cell * k + row; a pair's column is
+    its row's rank among its cell's rows, so the solve has as many columns
+    as the busiest cell has rows.  R is read back one column per free dof:
+    an interior node of a cell with n pairs takes the first n entries of its
+    row of the solution, READ_BLOCK entries at a time, a skeleton node its
+    column of trace_rows; exact zeros are then dropped in place, and one
+    CSC → CSR conversion sorts each row.
     """
-    k = trace_rows.shape[0]
+    k, n_free, to_free = trace_rows.shape[0], system.dofmap.n_free, system.dofmap.global_to_free
     rhs = (cache.A_it @ trace_rows.T).tocoo()
     pairs, pair_of = np.unique(cache.interior_cell[rhs.row] * k + rhs.col, return_inverse=True)
-    pair_cell = pairs // k
-    col = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
-    B = np.zeros((len(cache.interior), col.max(initial=-1) + 1), order="F")
-    B[rhs.row, col[pair_of]] = -rhs.data
+    pair_cell, row_of_pair = np.divmod(pairs, k)
+    # interior node i reads X[i, :n[i]], the rows of pairs first[i], ...
+    first = np.searchsorted(pair_cell, cache.interior_cell)
+    n = np.searchsorted(pair_cell, cache.interior_cell, side="right") - first
+    B = np.zeros((len(cache.interior), n.max(initial=0)), order="F")
+    B[rhs.row, pair_of - first[rhs.row]] = -rhs.data
     X = cache.fact.solve(B)
+    del B
 
-    # read back every interior node of every pair's cell
-    lo = np.searchsorted(cache.interior_cell, pair_cell, side="left")
-    count = np.searchsorted(cache.interior_cell, pair_cell, side="right") - lo
-    pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    flat = pos + len(X) * np.repeat(col, count)   # column-major index of X
-    T = trace_rows.tocoo()
-    ri = np.concatenate([T.row, np.repeat(pairs % k, count)])
-    rj = system.dofmap.global_to_free[np.concatenate([cache.skeleton_fine[T.col],
-                                                      cache.interior[pos]])]
-    rv = np.concatenate([T.data, X.ravel(order="F")[flat]])
-    keep = (rj >= 0) & (rv != 0.0)
-    return coo_matrix((rv[keep], (ri[keep], rj[keep])),
-                      shape=(k, system.dofmap.n_free)).tocsr()
+    # a column per free dof, as long as its node's n or its column of
+    # trace_rows; constrained interior nodes count in a spare last slot
+    dof, t_dof = to_free[cache.interior], to_free[cache.skeleton_fine]
+    n[dof < 0] = 0
+    T, t_dof = trace_rows.tocsc()[:, t_dof >= 0], t_dof[t_dof >= 0]
+    count = np.zeros(n_free + 1, dtype=np.int64)
+    count[dof], count[t_dof] = n, np.diff(T.indptr)
+    indptr = np.concatenate([[0], np.cumsum(count[:-1])])
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    at = np.repeat(indptr[t_dof] - T.indptr[:-1], np.diff(T.indptr)) + np.arange(T.nnz)
+    indices[at], data[at] = T.indices, T.data
+    step = max(1, READ_BLOCK // max(X.shape[1], 1))
+    for lo in range(0, len(X), step):
+        node, c = np.nonzero(np.arange(X.shape[1]) < n[lo:lo + step, None])
+        node += lo
+        at = indptr[dof[node]] + c
+        indices[at], data[at] = row_of_pair[first[node] + c], X[node, c]
+    del X
+    R = csc_matrix((data, indices, indptr), shape=(k, n_free))
+    R.eliminate_zeros()
+    return R.tocsr()
 
 
 def _lift_coefficients(skeleton, basis, g):

@@ -35,13 +35,9 @@ N_VALUES = (4, 16, 64, 256)      # default subdomain counts of the scalability s
 
 def _format_cell(value):
     # bool before int: bool is an int subclass
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (bool, np.bool_, str)):
         return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    return "%.17g" % value
+    return "%d" % value if isinstance(value, (int, np.integer)) else "%.17g" % value
 
 
 def write_csv(path, columns, rows):
@@ -197,28 +193,20 @@ def generate_urban_synthetic(seed, extent=640.0, pitch=2.5, n_buildings=24,
 
     def try_place(w, h, out):
         nonlocal rejections
-        if w > cells - 4 or h > cells - 4:   # cannot honour the margin
-            rejections += 1
-            if rejections >= 100000:
-                raise PlacementFailure(len(buildings), len(walls), rejections)
-            return False
-        ix = int(rng.integers(2, cells - 2 - w + 1))
-        iy = int(rng.integers(2, cells - 2 - h + 1))
-        # one-pitch clearance against everything already placed
-        lo_x, lo_y = max(ix - 1, 0), max(iy - 1, 0)
-        good = free[lo_x:ix + w + 1, lo_y:iy + h + 1].all()
-        if good:
-            free[ix:ix + w, iy:iy + h] = False
-            _, ncomp = ndimage.label(free)
-            if ncomp == 1:
-                out.append(Rect(ix * pitch, iy * pitch,
-                                (ix + w) * pitch, (iy + h) * pitch))
-                return True
-            free[ix:ix + w, iy:iy + h] = True
+        if w <= cells - 4 and h <= cells - 4:   # else the margin cannot be honoured
+            ix = int(rng.integers(2, cells - 2 - w + 1))
+            iy = int(rng.integers(2, cells - 2 - h + 1))
+            # one-pitch clearance against everything already placed
+            if free[max(ix - 1, 0):ix + w + 1, max(iy - 1, 0):iy + h + 1].all():
+                free[ix:ix + w, iy:iy + h] = False
+                if ndimage.label(free)[1] == 1:
+                    out.append(Rect(ix * pitch, iy * pitch,
+                                    (ix + w) * pitch, (iy + h) * pitch))
+                    return
+                free[ix:ix + w, iy:iy + h] = True
         rejections += 1
         if rejections >= 100000:
             raise PlacementFailure(len(buildings), len(walls), rejections)
-        return False
 
     while len(buildings) < n_buildings:
         try_place(int(rng.integers(4, 13)), int(rng.integers(4, 13)), buildings)

@@ -34,10 +34,7 @@ def _duffy_rule():
     v, wv = 0.5 * (xv + 1.0), 0.25 * wv
     U, V = np.meshgrid(u, v)
     WU, WV = np.meshgrid(wu, wv)
-    x = (U * (1.0 - V)).ravel()
-    y = V.ravel()
-    w = (WU * WV).ravel()
-    return np.column_stack([x, y]), w
+    return np.column_stack([(U * (1.0 - V)).ravel(), V.ravel()]), (WU * WV).ravel()
 
 
 QUAD_POINTS, QUAD_WEIGHTS = _duffy_rule()

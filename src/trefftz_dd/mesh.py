@@ -78,18 +78,15 @@ def gathered_areas(p):
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def _edge_lengths(points, pairs):
-    d = points[pairs[:, 0]] - points[pairs[:, 1]]
-    return np.hypot(d[:, 0], d[:, 1])
-
-
 def _all_edges(triangles):
     e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
     return np.sort(e, axis=1)
 
 
 def max_edge_length(points, triangles):
-    return float(_edge_lengths(points, _all_edges(triangles)).max())
+    e = _all_edges(triangles)
+    d = points[e[:, 0]] - points[e[:, 1]]
+    return float(np.hypot(d[:, 0], d[:, 1]).max())
 
 
 def _unique_edges(edges, n):

@@ -55,6 +55,19 @@ def test_solve_command_urban(tmp_path):
     assert code == 0
 
 
+def test_solve_urban_without_pitch_uses_the_city_pitch(tmp_path, monkeypatch):
+    # the L-shape's 1/80 on a 40 m city would be a 3200 x 3200 grid
+    code = main(["solve", "--urban", "3", "--extent", "40", "--grid", "2", "2",
+                 "--buildings", "1", "--walls", "0", "--method", "gmres",
+                 "--reference-levels", "0", "--out", str(tmp_path)])
+    assert code == 0
+    seen = []
+    monkeypatch.setattr(cli, "run_solver_study", lambda config: seen.append(config) or {})
+    for argv in (["--urban", "3"], [], ["--urban", "3", "--pitch", "5"]):
+        assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
+    assert [c.pitch for c in seen] == [2.5, 1.0 / 80.0, 5.0]
+
+
 def test_unplaceable_urban_geometry_exits_2(tmp_path, capsys):
     # five buildings of at least 4 x 4 pitches cannot keep their clearances
     # in a 20 m square, so the request itself is invalid

@@ -8,11 +8,13 @@ of every basis function, the row-by-row gluing of the Trefftz basis, and the
 per-subdomain component labelling of the Nicolaides space.
 """
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, vstack
 from scipy.sparse.linalg import splu
 
 from test_acceptance import _small_instance
@@ -556,8 +558,49 @@ def _extend_rows_reference(mesh, system, cache, trace_rows, support_cells):
                       shape=(trace_rows.shape[0], dofmap.n_free)).tocsr()
 
 
+def _extend_rows_coo(system, cache, trace_rows):
+    """The former read-back of `_extend_rows`, kept as a bitwise oracle: the
+    same padded solve, then every (pair, interior node) entry at once and
+    one COO -> CSR conversion, which sorts each row's columns."""
+    k = trace_rows.shape[0]
+    rhs = (cache.A_it @ trace_rows.T).tocoo()
+    pairs, pair_of = np.unique(cache.interior_cell[rhs.row] * k + rhs.col, return_inverse=True)
+    pair_cell = pairs // k
+    col = np.arange(len(pairs)) - np.searchsorted(pair_cell, pair_cell)
+    B = np.zeros((len(cache.interior), col.max(initial=-1) + 1), order="F")
+    B[rhs.row, col[pair_of]] = -rhs.data
+    X = cache.fact.solve(B)
+    lo = np.searchsorted(cache.interior_cell, pair_cell, side="left")
+    count = np.searchsorted(cache.interior_cell, pair_cell, side="right") - lo
+    pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    flat = pos + len(X) * np.repeat(col, count)   # column-major index of X
+    T = trace_rows.tocoo()
+    ri = np.concatenate([T.row, np.repeat(pairs % k, count)])
+    rj = system.dofmap.global_to_free[np.concatenate([cache.skeleton_fine[T.col],
+                                                      cache.interior[pos]])]
+    rv = np.concatenate([T.data, X.ravel(order="F")[flat]])
+    keep = (rj >= 0) & (rv != 0.0)
+    return coo_matrix((rv[keep], (ri[keep], rj[keep])),
+                      shape=(k, system.dofmap.n_free)).tocsr()
+
+
+def _assert_matches_coo_oracle(system, cache, trace_rows):
+    """R byte for byte as the COO oracle builds it, in canonical format,
+    read back in blocks of one node, of 7 entries and of the default size."""
+    want = _extend_rows_coo(system, cache, trace_rows)
+    for block in (1, 7, coarse.READ_BLOCK):
+        with mock.patch.object(coarse, "READ_BLOCK", block):
+            R = _extend_rows(system, cache, trace_rows)
+        assert R.has_canonical_format and R.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            got_a, want_a = getattr(R, name), getattr(want, name)
+            assert got_a.dtype == want_a.dtype, (block, name)
+            assert got_a.tobytes() == want_a.tobytes(), (block, name)
+
+
 def _assert_rows_match_reference(mesh, system, cache, skel, p):
     basis = build_trace_basis(mesh, skel, p, cache)
+    _assert_matches_coo_oracle(system, cache, basis.T)
     R = _extend_rows(system, cache, basis.T)
     want = _extend_rows_reference(mesh, system, cache, basis.T,
                                   _edge_support(skel, basis.labels))
@@ -657,6 +700,62 @@ def test_extend_rows_matches_row_loop_on_graded_lshape():
         _assert_rows_match_reference(mesh, system, cache, refine_edges(skel, 2), p)
     for r in (0, 1, 2):
         _assert_edge_nodes_match(mesh.points, refine_edges(skel, r))
+
+
+def test_extend_rows_matches_coo_oracle_with_lift_and_unpaired_cells():
+    # the graded L-shape with Dirichlet data: the basis traces plus the lift
+    # row, as build_trefftz extends them; then two traces and an empty row,
+    # which leave some cells with no (cell, row) pair at all
+    _, _, mesh, _, skel0 = lshape_setup(pitch=1.0 / 12.0)
+    mesh = refine_toward(mesh, np.array([[0.0, 0.0]]), 3)
+    system = assemble(mesh, g=_exact_values)
+    cache = build_cell_cache(mesh, system, skel0)
+    g = system.expand(np.zeros(system.dofmap.n_free))
+    for p, r in ((1, 0), (2, 2)):
+        skel = refine_edges(skel0, r)
+        basis = build_trace_basis(mesh, skel, p, cache)
+        lift = coarse._lift_coefficients(skel, basis, g) @ basis.table
+        assert np.any(lift)
+        _assert_matches_coo_oracle(system, cache, vstack([basis.T, csr_matrix(lift)],
+                                                         format="csr"))
+        few = vstack([basis.T[0], csr_matrix((1, basis.T.shape[1])), basis.T[-1]],
+                     format="csr")
+        paired = np.unique(cache.interior_cell[(cache.A_it @ few.T).tocoo().row])
+        assert 0 < len(paired) < len(np.unique(cache.interior_cell))
+        _assert_matches_coo_oracle(system, cache, few)
+
+
+def test_extend_rows_reads_back_in_bounded_memory():
+    # the lshape-graded benchmark mesh at p = 2, r = 2: R has 207,821
+    # entries (2.49 MB) and the solve's result X 2.77 MB.  From the solve's
+    # return, the traced peak above X measured 1.48 times R's bytes (R as
+    # CSC, then converted to CSR, plus the read-back's blocks and the
+    # (cell, row) pairs), so the bound is 2.  Keeping the padded right-hand
+    # sides through the read-back measured 2.59, and the former read-back,
+    # which held every (pair, interior node) entry at once, 7.21
+    _, _, mesh, _, skel = lshape_setup(pitch=1.0 / 60.0)
+    mesh = refine_toward(mesh, np.array([[0.0, 0.0]]), 6)
+    system = assemble(mesh, g=_exact_values)
+    cache = build_cell_cache(mesh, system, skel)
+    traces = build_trace_basis(mesh, refine_edges(skel, 2), 2, cache).T
+    solve, x_bytes = cache.fact.solve, []
+
+    def traced_solve(b):
+        x = solve(b)
+        x_bytes.append(x.nbytes)
+        tracemalloc.reset_peak()
+        return x
+
+    cache.fact.solve = traced_solve
+    tracemalloc.start()
+    try:
+        R = _extend_rows(system, cache, traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r_bytes = R.data.nbytes + R.indices.nbytes + R.indptr.nbytes
+    assert len(x_bytes) == 1 and R.nnz > 200_000
+    assert peak - x_bytes[0] <= 2.0 * r_bytes
 
 
 def test_edge_nodes_match_reference_on_graded_1_192_lshape():

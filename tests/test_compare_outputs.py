@@ -1,12 +1,17 @@
-"""Diff arithmetic of the output comparison script `tools/compare_outputs.py`.
+"""Diff arithmetic of the output comparison script `tools/compare_outputs.py`
+and the coarse-space hashes of `tools/coarse_hashes.py`.
 
-Oracle: relative changes, row and column verdicts and masked verdict lines
-worked out by hand."""
+Oracle: relative changes, row and column verdicts, masked verdict lines and
+sha256 inputs worked out by hand."""
+import hashlib
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
+from coarse_hashes import digest  # noqa: E402
 from compare_outputs import (THREADS, all_identical, child_env, compare_csv,  # noqa: E402
                              compare_dirs, rel_change, verdicts)
 
@@ -92,6 +97,7 @@ def test_all_identical_needs_equal_exit_statuses():
     same = {"parent": 0, "change": 0}
     doc = {"runs": {"solve": {"exit": dict(same)}},
            "acceptance": {"exit": dict(same), "verdicts_equal": True},
+           "coarse_hashes": {"exit": dict(same), "equal": True},
            "files": {"solve/history.csv": {"status": "byte-identical"}}}
     assert all_identical(doc)
     # the same bytes and verdicts, but a run that failed on one side only
@@ -100,3 +106,26 @@ def test_all_identical_needs_equal_exit_statuses():
     doc["runs"]["solve"]["exit"]["change"] = 0
     doc["acceptance"]["exit"]["parent"] = 1
     assert not all_identical(doc)
+    doc["acceptance"]["exit"]["parent"] = 0
+    # equal files and verdicts, but coarse spaces that hash differently
+    doc["coarse_hashes"]["equal"] = False
+    assert not all_identical(doc)
+    doc["coarse_hashes"]["equal"] = True
+    doc["coarse_hashes"]["exit"]["change"] = 1
+    assert not all_identical(doc)
+
+
+def test_digest_hashes_the_bytes_in_order():
+    indptr = np.array([0, 1, 2], dtype=np.int32)
+    data = np.array([0.5, -2.0])
+    want = hashlib.sha256(b"\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+                          + b"\x00\x00\x00\x00\x00\x00\xe0\x3f"     # 0.5
+                          + b"\x00\x00\x00\x00\x00\x00\x00\xc0"     # -2.0
+                          + b"[('node', 0)]").hexdigest()
+    assert digest(indptr, data, "[('node', 0)]") == want
+    # the parts are hashed one after the other, with no separator
+    assert digest(indptr[:2], np.concatenate([indptr[2:], [0]]).astype(np.int32)) == \
+        digest(np.array([0, 1, 2, 0], dtype=np.int32))
+    # a strided view hashes as its values, and the dtype's width counts
+    assert digest(np.arange(6.0)[::2]) == digest(np.array([0.0, 2.0, 4.0]))
+    assert digest(indptr) != digest(indptr.astype(np.int64))

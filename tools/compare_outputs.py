@@ -6,7 +6,9 @@ Run from a git checkout.  Both revisions are exported with
 `bench_pairs.export` into `.bench_build/<commit>/`, so each side runs its
 own committed sources.  On each tree it runs the CLI configurations in
 RUNS, each into its own directory under `.bench_build/outputs/<side>/`,
-and `pytest -s tests/test_acceptance.py` for the criterion verdict lines.
+and `pytest -s tests/test_acceptance.py` for the criterion verdict lines,
+and it runs `tools/coarse_hashes.py` (this tree's copy) on its sources for
+the sha256 of T, labels, R and `lift_full` in eight fixed configurations.
 
 Per output file the record says "byte-identical", or else whether the row
 counts and the `iters` and `converged` columns are equal and, per column,
@@ -16,8 +18,9 @@ finite numbers is listed under `text_changed`.  The verdict lines are
 compared with their runtimes masked.  Each run also records its exit
 status and peak RSS; every run has one BLAS and OpenMP thread (THREADS,
 also in the record).  `all_identical` holds when every file is
-byte-identical, the verdict lines are equal and every run, the acceptance
-suite included, exits with the same status on both sides.
+byte-identical, the verdict lines are equal, both sides hash their coarse
+spaces alike and every run, the acceptance suite and the hashing included,
+exits with the same status on both sides.
 """
 import argparse
 import csv
@@ -51,6 +54,8 @@ ACCEPTANCE = ["-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
 #: the thread counts of every child run, as `benchmarks/run.py` sets them
 THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                 "MKL_NUM_THREADS")}
+#: prints the coarse-space hashes of the tree on PYTHONPATH into a JSON file
+HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "coarse_hashes.py")
 VERDICT = re.compile(r"\[criterion \d+\].*")
 RUNTIME = re.compile(r"runtime [0-9.]+s")
 
@@ -139,10 +144,10 @@ def compare_dirs(parent, change):
 
 
 def all_identical(doc):
-    """Every file byte-identical, the verdict lines equal and every run's
-    exit status equal on both sides."""
-    runs = [*doc["runs"].values(), doc["acceptance"]]
-    return (doc["acceptance"]["verdicts_equal"]
+    """Every file byte-identical, the verdict lines and the coarse-space
+    hashes equal and every run's exit status equal on both sides."""
+    runs = [*doc["runs"].values(), doc["acceptance"], doc["coarse_hashes"]]
+    return (doc["acceptance"]["verdicts_equal"] and doc["coarse_hashes"]["equal"]
             and all(f["status"] == "byte-identical" for f in doc["files"].values())
             and all(run["exit"]["parent"] == run["exit"]["change"] for run in runs))
 
@@ -158,8 +163,9 @@ def main(argv=None):
     doc = {"commits": {side: sha for side, (sha, _) in sides.items()}, "threads": THREADS,
            "runs": {name: {"args": cli, "exit": {}, "peak_rss_mb": {}}
                     for name, cli in RUNS.items()},
-           "acceptance": {"exit": {}, "peak_rss_mb": {}}}
-    lines = {}
+           "acceptance": {"exit": {}, "peak_rss_mb": {}},
+           "coarse_hashes": {"exit": {}, "peak_rss_mb": {}}}
+    lines, hashes = {}, {}
     for side, (_, tree) in sides.items():
         top = os.path.join(BUILD, "outputs", side)
         shutil.rmtree(top, ignore_errors=True)
@@ -178,21 +184,36 @@ def main(argv=None):
         with open(log) as f:
             lines[side] = verdicts(f.read())
         print(side, "acceptance", status, rss, flush=True)
+        path = os.path.join(top, "coarse_hashes.json")
+        status, rss = run([HASHES, path], tree, os.path.join(top, "logs", "coarse_hashes.log"))
+        doc["coarse_hashes"]["exit"][side] = status
+        doc["coarse_hashes"]["peak_rss_mb"][side] = rss
+        if status == 0:
+            with open(path) as f:
+                hashes[side] = json.load(f)
+        print(side, "coarse_hashes", status, rss, flush=True)
     doc["acceptance"]["verdicts_equal"] = lines["parent"] == lines["change"]
     doc["acceptance"]["verdicts"] = lines["change"]
     if not doc["acceptance"]["verdicts_equal"]:
         doc["acceptance"]["parent_verdicts"] = lines["parent"]
+    doc["coarse_hashes"]["equal"] = (len(hashes) == 2
+                                      and hashes["parent"] == hashes["change"])
+    doc["coarse_hashes"]["hashes"] = hashes.get("change")
+    if not doc["coarse_hashes"]["equal"]:
+        doc["coarse_hashes"]["parent_hashes"] = hashes.get("parent")
     doc["files"] = compare_dirs(*(os.path.join(BUILD, "outputs", side, "csv")
                                   for side in sides))
     doc["all_identical"] = all_identical(doc)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    print("%d files, %d byte-identical; verdict lines %s; all identical: %s" % (
-        len(doc["files"]), sum(f["status"] == "byte-identical"
-                               for f in doc["files"].values()),
-        "equal" if doc["acceptance"]["verdicts_equal"] else "differ",
-        doc["all_identical"]))
+    print("%d files, %d byte-identical; verdict lines %s; coarse hashes %s; "
+          "all identical: %s" % (
+              len(doc["files"]), sum(f["status"] == "byte-identical"
+                                     for f in doc["files"].values()),
+              "equal" if doc["acceptance"]["verdicts_equal"] else "differ",
+              "equal" if doc["coarse_hashes"]["equal"] else "differ",
+              doc["all_identical"]))
     return 0
 
 
